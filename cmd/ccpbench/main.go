@@ -4,7 +4,7 @@
 // Usage:
 //
 //	ccpbench [-scale f] [-seed n] [-workers n] [-repeats n] [-concurrency n]
-//	         [-full-rescan] <experiment>...
+//	         <experiment>...
 //
 // Experiments: fig8a fig8b fig8c fig8d fig8e fig8f fig8g fig8h nettraffic
 // riad serial ablations fig9a fig9b throughput contrast updates datalog
@@ -51,8 +51,6 @@ func main() {
 		"file the store experiment writes its WAL/recovery/snapshot measurements to (empty = don't write)")
 	fleetOut := flag.String("fleet-out", "BENCH_fleet.json",
 		"file the fleet experiment writes its replica-throughput/lag/admission measurements to (empty = don't write)")
-	fullRescan := flag.Bool("full-rescan", false,
-		"use the full-rescan reduction engine instead of the frontier engine (ablation abl-frontier)")
 	compare := flag.String("compare", "",
 		"baseline bench file (BENCH_throughput.json or BENCH_reduction.json shape) to gate against")
 	compareWith := flag.String("compare-with", "",
@@ -83,7 +81,6 @@ func main() {
 		Workers:     *workers,
 		Repeats:     *repeats,
 		Concurrency: *concurrency,
-		FullRescan:  *fullRescan,
 	}
 	// Contention profiling must be armed before any experiment runs; the
 	// profiles are cumulative over the whole process, which is exactly what

@@ -327,36 +327,48 @@ func queryDist(g *ccp.Graph, s, t ccp.NodeID, parts int, verbose bool) error {
 	if _, err := tr.WriteTable(os.Stdout); err != nil {
 		return err
 	}
-	// Per-site rollup of the stitched spans: how much wall time and payload
-	// each contacted site contributed.
-	type rollup struct {
-		spans int
-		dur   time.Duration
-		bytes int64
-	}
-	perSite := map[int32]*rollup{}
-	var order []int32
-	for _, sp := range tr.Spans {
-		r := perSite[sp.Site]
-		if r == nil {
-			r = &rollup{}
-			perSite[sp.Site] = r
-			order = append(order, sp.Site)
-		}
-		r.spans++
-		r.dur += time.Duration(sp.DurNS)
-		r.bytes += sp.Bytes
-	}
 	fmt.Println("per-site summary:")
-	for _, id := range order {
+	for _, r := range rollupSpans(tr.Spans) {
 		who := "coord"
-		if id >= 0 {
-			who = fmt.Sprintf("site %d", id)
+		if r.site >= 0 {
+			who = fmt.Sprintf("site %d", r.site)
 		}
-		r := perSite[id]
-		fmt.Printf("  %-8s spans=%-3d busy=%-12v bytes=%d\n", who, r.spans, r.dur, r.bytes)
+		fmt.Printf("  %-8s spans=%-3d busy=%-12v bytes=%d\n", who, r.spans, r.busy, r.bytes)
 	}
 	return nil
+}
+
+// spanRollup is one row of the per-site summary: how much wall time and
+// payload one process contributed to a stitched trace.
+type spanRollup struct {
+	site  int32 // partition id, -1 for the coordinator
+	spans int
+	busy  time.Duration
+	bytes int64
+}
+
+// rollupSpans sums a stitched trace per process, rows in first-seen order.
+// A site is busy for its site.rpc envelopes only: the site's own spans nest
+// inside its envelope, so adding them too would count the site twice. The
+// coordinator is busy for the sum of its own spans.
+func rollupSpans(spans []ccp.TraceSpan) []spanRollup {
+	var rows []spanRollup
+	index := map[int32]int{}
+	for _, sp := range spans {
+		i, ok := index[sp.Site]
+		if !ok {
+			i = len(rows)
+			index[sp.Site] = i
+			rows = append(rows, spanRollup{site: sp.Site})
+		}
+		r := &rows[i]
+		r.spans++
+		r.bytes += sp.Bytes
+		if sp.Site < 0 || sp.Name == "site.rpc" {
+			r.busy += time.Duration(sp.DurNS)
+		}
+	}
+	return rows
 }
 
 func cmdExplain(args []string) error {

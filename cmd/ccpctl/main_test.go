@@ -3,7 +3,9 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"ccp"
 )
@@ -81,5 +83,31 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}
 	if err := cmdStats([]string{}); err == nil {
 		t.Fatal("missing -in accepted")
+	}
+}
+
+// TestRollupSpansCountsEachSiteOnce feeds the per-site summary a stitched
+// trace built by hand: each site's spans nest inside its site.rpc envelope,
+// so a site's busy time is the envelope alone, and the coordinator's is the
+// sum of its own spans.
+func TestRollupSpansCountsEachSiteOnce(t *testing.T) {
+	ms := int64(time.Millisecond)
+	spans := []ccp.TraceSpan{
+		{Name: "site.rpc", Site: 0, StartNS: 0, DurNS: 10 * ms, Bytes: 400},
+		{Name: "site.snapshot", Site: 0, StartNS: 1 * ms, DurNS: 3 * ms},
+		{Name: "site.reduce", Site: 0, StartNS: 4 * ms, DurNS: 6 * ms},
+		{Name: "site.rpc", Site: 1, StartNS: 0, DurNS: 4 * ms, Bytes: 100},
+		{Name: "site.cache", Site: 1, StartNS: 1 * ms, DurNS: 1 * ms},
+		{Name: "coord.merge", Site: -1, StartNS: 11 * ms, DurNS: 2 * ms},
+		{Name: "coord.reduce", Site: -1, StartNS: 13 * ms, DurNS: 1 * ms},
+	}
+	got := rollupSpans(spans)
+	want := []spanRollup{
+		{site: 0, spans: 3, busy: 10 * time.Millisecond, bytes: 400},
+		{site: 1, spans: 2, busy: 4 * time.Millisecond, bytes: 100},
+		{site: -1, spans: 2, busy: 3 * time.Millisecond},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rollup:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"ccp/internal/control"
 	"ccp/internal/gen"
 	"ccp/internal/graph"
+	"ccp/internal/obs"
 	"ccp/internal/partition"
 )
 
@@ -435,5 +436,126 @@ func TestSnapshotReuseAndInvalidation(t *testing.T) {
 	// ...and the next round hits the new epoch vector's skeleton.
 	if _, m, err = coord.Answer(context.Background(), q); err != nil || m.SnapshotHits != 1 {
 		t.Fatalf("after update round 2: m=%+v err=%v", m, err)
+	}
+}
+
+// memberOf returns the first live company stored at the coordinator's
+// in-process site i.
+func memberOf(t *testing.T, c *Coordinator, g *graph.Graph, i int) graph.NodeID {
+	t.Helper()
+	site := c.clients[i].(*LocalClient).Site
+	for v := graph.NodeID(0); int(v) < g.Cap(); v++ {
+		if g.Alive(v) && site.HoldsMember(v) {
+			return v
+		}
+	}
+	t.Fatalf("site %d stores no company", i)
+	return graph.None
+}
+
+// TestSnapshotSurvivesUpdateElsewhere: an update drops only the skeletons
+// that merge the updated site's partial. Query a (endpoints at sites 0 and
+// 3) merges the cached partials of sites 1 and 2; query b (sites 0 and 1)
+// merges those of sites 2 and 3. An update confined to site 3 must leave a's
+// skeleton a hit and make b rebuild.
+func TestSnapshotSurvivesUpdateElsewhere(t *testing.T) {
+	eu := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 800, InterconnectRate: 0.01, Seed: 52})
+	g := eu.G
+	coord := batchCluster(t, g, Options{UseCache: true, ForcePartial: true, Workers: 1})
+	mirror := g.Clone()
+	qa := control.Query{S: memberOf(t, coord, g, 0), T: memberOf(t, coord, g, 3)}
+	qb := control.Query{S: qa.S, T: memberOf(t, coord, g, 1)}
+	ask := func(q control.Query) *Metrics {
+		t.Helper()
+		got, m, err := coord.Answer(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := control.CBE(mirror, q); got != want {
+			t.Fatalf("%v: got %v, want %v", q, got, want)
+		}
+		return m
+	}
+	for _, q := range []control.Query{qa, qb} {
+		if m := ask(q); m.SnapshotBuilds != 1 {
+			t.Fatalf("%v: first query did not build its skeleton: %+v", q, m)
+		}
+	}
+
+	// A new stake between two companies of site 3 moves site 3's epoch only.
+	site3 := coord.clients[3].(*LocalClient).Site
+	up := StakeUpdate{Owner: memberOf(t, coord, g, 3), Weight: 0.05}
+	up.Owned = up.Owner + 1
+	for !site3.HoldsMember(up.Owned) || !mirror.Alive(up.Owned) ||
+		mirror.InSum(up.Owned) > 0.9 || mirror.HasEdge(up.Owner, up.Owned) {
+		up.Owned++
+	}
+	if err := mirror.MergeEdge(up.Owner, up.Owned, up.Weight); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]uint64, len(coord.clients))
+	for i, cl := range coord.clients {
+		before[i] = cl.(*LocalClient).Site.Epoch()
+	}
+	if err := coord.ApplyUpdate(context.Background(), up); err != nil {
+		t.Fatal(err)
+	}
+	for i, cl := range coord.clients {
+		if moved := cl.(*LocalClient).Site.Epoch() != before[i]; moved != (i == 3) {
+			t.Fatalf("site %d epoch moved=%v; the update should move site 3 only", i, moved)
+		}
+	}
+
+	if m := ask(qa); m.SnapshotHits != 1 || m.SnapshotBuilds != 0 {
+		t.Fatalf("skeleton over sites 1,2 did not survive an update at site 3: hits=%d builds=%d",
+			m.SnapshotHits, m.SnapshotBuilds)
+	}
+	if m := ask(qb); m.SnapshotHits != 0 || m.SnapshotBuilds != 1 {
+		t.Fatalf("skeleton over sites 2,3 survived an update at site 3: hits=%d builds=%d",
+			m.SnapshotHits, m.SnapshotBuilds)
+	}
+}
+
+// TestSnapshotCacheClearsAtBound: every invalidation of a cached site makes
+// a new (site, epoch) key, so the snapshot cache fills. The build that finds
+// it at maxSnapshots clears it wholesale and counts every dropped entry in
+// ccp_coord_snapshot_evictions_total.
+func TestSnapshotCacheClearsAtBound(t *testing.T) {
+	eu := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 100, InterconnectRate: 0.02, Seed: 53})
+	g := eu.G
+	o := obs.NewObserver(obs.ObserverConfig{})
+	coord := batchCluster(t, g, Options{UseCache: true, ForcePartial: true, Workers: 1, Observer: o})
+	evictions := o.Registry().Counter("ccp_coord_snapshot_evictions_total", "")
+	q := control.Query{S: memberOf(t, coord, g, 0), T: memberOf(t, coord, g, 3)}
+	site1 := coord.clients[1].(*LocalClient).Site
+
+	for i := 0; i <= maxSnapshots; i++ {
+		if i > 0 {
+			site1.Invalidate()
+		}
+		_, m, err := coord.Answer(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.SnapshotBuilds != 1 {
+			t.Fatalf("round %d: a new epoch vector did not build: %+v", i, m)
+		}
+		wantEvicted, wantLen := int64(0), i+1
+		if i == maxSnapshots {
+			wantEvicted, wantLen = maxSnapshots, 1
+		}
+		if got := evictions.Value(); got != wantEvicted {
+			t.Fatalf("round %d: evictions = %d, want %d", i, got, wantEvicted)
+		}
+		coord.snapMu.Lock()
+		n := len(coord.snaps)
+		coord.snapMu.Unlock()
+		if n != wantLen {
+			t.Fatalf("round %d: %d cached skeletons, want %d", i, n, wantLen)
+		}
+	}
+	// The skeleton published after the clear serves the next query.
+	if _, m, err := coord.Answer(context.Background(), q); err != nil || m.SnapshotHits != 1 {
+		t.Fatalf("after the clear: m=%+v err=%v", m, err)
 	}
 }

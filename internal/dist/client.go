@@ -205,6 +205,14 @@ func (m *muxConn) register(ch chan rpcResult) (uint64, error) {
 	return m.nextID, nil
 }
 
+// failure returns the transport error that killed the generation, nil
+// while it is alive.
+func (m *muxConn) failure() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err
+}
+
 // deregister abandons a pending request (caller gave up waiting). The
 // response, if it ever arrives, is discarded by the read loop.
 func (m *muxConn) deregister(id uint64) {
@@ -364,10 +372,17 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 			c.mu.Unlock()
 			return nil, errors.New("client closed")
 		}
-		if c.conn != nil {
-			mc := c.conn
-			c.mu.Unlock()
-			return mc, nil
+		if mc := c.conn; mc != nil {
+			err := mc.failure()
+			if err == nil {
+				c.mu.Unlock()
+				return mc, nil
+			}
+			// The generation died and woke its callers, but its reader has
+			// not retired it yet: retire it here, so this call redials
+			// instead of failing on a connection it never sent anything on.
+			c.conn = nil
+			c.noteFailureLocked(err)
 		}
 		if ch := c.dialing; ch != nil {
 			c.mu.Unlock()
@@ -600,8 +615,8 @@ func (c *RemoteClient) Evaluate(ctx context.Context, q control.Query, opts EvalO
 		ForcePartial: opts.ForcePartial,
 		IfEpoch:      opts.IfEpoch,
 		HasIfEpoch:   opts.HasIfEpoch,
-		TraceID:      opts.TraceID,
-		FlightID:     opts.FlightID,
+		QueryID:      opts.QueryID,
+		Trace:        opts.Trace,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -709,7 +724,7 @@ func (c *RemoteClient) roundTrip(ctx context.Context, req *request) (*response, 
 			c.retries++
 			c.mu.Unlock()
 			c.met.retries.Inc()
-			c.fr.Record(flight.Retry, int32(c.SiteID()), req.FlightID, int64(attempt), 0)
+			c.fr.Record(flight.Retry, int32(c.SiteID()), req.QueryID, int64(attempt), 0)
 			c.log.Debug("retrying call", "site", c.SiteID(), "op", opname, "attempt", attempt, "err", lastErr)
 		}
 		if err := ctx.Err(); err != nil {

@@ -60,10 +60,6 @@ type Options struct {
 	// flight. <= 1 evaluates the batch serially, preserving the exact
 	// behavior (answers and byte accounting) of the serial coordinator.
 	Concurrency int
-	// FullRescan runs the coordinator-side merged reduction with the
-	// full-rescan engine (ablation abl-frontier). Site-side evaluations are
-	// switched independently via Site.SetFullRescan.
-	FullRescan bool
 	// SiteTimeout bounds each per-site call (evaluate, update, cross-in)
 	// with its own deadline, layered under whatever deadline the caller's
 	// context already carries. 0 means no per-call bound. A site missing the
@@ -190,10 +186,10 @@ type Coordinator struct {
 	slots  map[int]int
 	pcache []atomic.Pointer[coordCached]
 
-	// snaps is the merged-skeleton cache, striped so concurrent batch
-	// workers looking up different epoch vectors never serialize on one
-	// lock.
-	snaps [numSnapShards]snapShard
+	// snaps is the merged-skeleton cache, keyed by (site, epoch) vector;
+	// snapMu guards it.
+	snapMu sync.Mutex
+	snaps  map[string]*mergedSnapshot
 
 	// mergeGraphs recycles merge scratch across queries (the snapshot
 	// skeleton is cloned into a pooled graph instead of a fresh one);
@@ -221,7 +217,7 @@ type coordMetrics struct {
 	coordCacheHits, snapshotHits        *obs.Counter
 	snapshotBuilds, snapshotEvictions   *obs.Counter
 	snapshotMisses                      *obs.Counter
-	shardWaits, mergedQueries           *obs.Counter
+	mergedQueries                       *obs.Counter
 	payloadBytes                        *obs.Counter
 	batchInflight                       *obs.Gauge
 	reduceObs                           *obs.ReducerObs
@@ -253,11 +249,9 @@ func newCoordMetrics(o *obs.Observer) coordMetrics {
 		snapshotBuilds: reg.Counter("ccp_coord_snapshot_builds_total",
 			"Merged-graph snapshots built and published for reuse."),
 		snapshotEvictions: reg.Counter("ccp_coord_snapshot_evictions_total",
-			"Merged-graph snapshots evicted when a cache shard filled up."),
+			"Merged-graph snapshots evicted when the snapshot cache filled up."),
 		snapshotMisses: reg.Counter("ccp_coord_snapshot_misses_total",
 			"Merged queries with too few cached partials for a reusable skeleton."),
-		shardWaits: reg.Counter("ccp_coord_shard_waits_total",
-			"Snapshot-cache shard lock acquisitions that found the shard already locked."),
 		mergedQueries: reg.Counter("ccp_coord_merged_queries_total",
 			"Queries that reached the coordinator merge path (no site decided them early)."),
 		payloadBytes:  reg.Counter("ccp_coord_payload_bytes_total", "Payload bytes returned by sites."),
@@ -284,43 +278,11 @@ type mergedSnapshot struct {
 	sites        []int // sites whose partials the skeleton merges (sorted)
 }
 
-// The snapshot cache is striped into numSnapShards independently locked
-// shards, each bounded to maxSnapshotsPerShard entries. Entries are keyed by
-// (site, epoch) vectors, so epochs moving under live updates would otherwise
-// leave stale skeletons behind; past the bound the shard is dropped (the
-// next query per key rebuilds in one merge).
-const (
-	numSnapShards        = 8
-	maxSnapshotsPerShard = 8
-)
-
-// snapShard is one stripe of the snapshot cache. The padding keeps two
-// shards' locks off one cache line, so uncontended shards stay uncontended.
-type snapShard struct {
-	mu      sync.Mutex
-	entries map[string]*mergedSnapshot
-	_       [40]byte
-}
-
-// snapShardOf picks the shard for a snapshot key (FNV-1a over the key).
-func snapShardOf(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % numSnapShards)
-}
-
-// lockShard takes a shard lock, recording the cases where the lock was
-// already held — the contention the striping is meant to make rare.
-func (c *Coordinator) lockShard(sh *snapShard, shard int, fid uint64) {
-	if sh.mu.TryLock() {
-		return
-	}
-	c.met.shardWaits.Inc()
-	c.fr.Record(flight.ShardWait, -1, fid, int64(shard), 0)
-	sh.mu.Lock()
-}
+// maxSnapshots bounds the snapshot cache. Entries are keyed by (site, epoch)
+// vectors, so epochs moving under live updates would otherwise leave stale
+// skeletons behind; past the bound the cache is cleared wholesale (the next
+// query per key rebuilds in one merge).
+const maxSnapshots = 64
 
 // NewCoordinator builds a coordinator over the given site clients.
 func NewCoordinator(clients []SiteClient, opts Options) *Coordinator {
@@ -331,6 +293,7 @@ func NewCoordinator(clients []SiteClient, opts Options) *Coordinator {
 		fr:      opts.Observer.Flight(),
 		log:     obs.LoggerOr(opts.Logger),
 		slots:   make(map[int]int, len(clients)),
+		snaps:   make(map[string]*mergedSnapshot, maxSnapshots),
 	}
 	for _, cl := range clients {
 		if _, ok := c.slots[cl.SiteID()]; !ok {
@@ -338,9 +301,6 @@ func NewCoordinator(clients []SiteClient, opts Options) *Coordinator {
 		}
 	}
 	c.pcache = make([]atomic.Pointer[coordCached], len(c.slots))
-	for i := range c.snaps {
-		c.snaps[i].entries = make(map[string]*mergedSnapshot, maxSnapshotsPerShard)
-	}
 	c.observeCache(opts.Observer)
 	return c
 }
@@ -376,12 +336,9 @@ func (c *Coordinator) storeCopy(siteID int, cc *coordCached) {
 
 // dropSnapshots empties the merged-skeleton cache entirely.
 func (c *Coordinator) dropSnapshots() {
-	for i := range c.snaps {
-		sh := &c.snaps[i]
-		sh.mu.Lock()
-		clear(sh.entries)
-		sh.mu.Unlock()
-	}
+	c.snapMu.Lock()
+	clear(c.snaps)
+	c.snapMu.Unlock()
 }
 
 // dropSnapshotsFor removes only the merged skeletons involving one of the
@@ -392,17 +349,14 @@ func (c *Coordinator) dropSnapshotsFor(touched []int) {
 		return
 	}
 	dropped := 0
-	for i := range c.snaps {
-		sh := &c.snaps[i]
-		sh.mu.Lock()
-		for k, snap := range sh.entries {
-			if snapIncludes(snap.sites, touched) {
-				delete(sh.entries, k)
-				dropped++
-			}
+	c.snapMu.Lock()
+	for k, snap := range c.snaps {
+		if snapIncludes(snap.sites, touched) {
+			delete(c.snaps, k)
+			dropped++
 		}
-		sh.mu.Unlock()
 	}
+	c.snapMu.Unlock()
 	if dropped > 0 {
 		c.fr.Record(flight.SnapDrop, int32(touched[0]), 0, int64(dropped), int64(len(touched)))
 	}
@@ -477,7 +431,7 @@ func (c *Coordinator) AnswerTraced(ctx context.Context, q control.Query) (bool, 
 }
 
 // answer wraps one query evaluation with the coordinator's observability:
-// a flight id (every query flies, traced or not), trace allocation (when
+// a query id (every query flies, traced or not), trace allocation (when
 // explicitly requested or needed by the slow-query log), top-level counters
 // and latency histograms, flight events, and slow-log capture. withHealth
 // attaches a per-site transport-health snapshot to the metrics; batch
@@ -496,19 +450,19 @@ func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace, wi
 		defer release()
 	}
 	start := time.Now()
-	// The flight id correlates this query's events across coordinator and
-	// sites; when the query is traced the trace id doubles as the flight id,
+	// The query id correlates this query's events across coordinator and
+	// sites; when the query is traced it is also the trace id,
 	// so timelines and stitched traces line up.
-	fid := obs.NewTraceID()
+	qid := obs.NewTraceID()
 	var tr *obs.Trace
 	if wantTrace || c.opts.Observer.TraceEnabled() {
 		tr = obs.GetTrace()
-		tr.TraceID = fid
+		tr.TraceID = qid
 		tr.Query = fmt.Sprintf("controls(%d,%d)", q.S, q.T)
 		tr.Start = start
 	}
-	c.fr.Record(flight.QueryStart, -1, fid, int64(q.S), int64(q.T))
-	ans, m, err := c.eval(ctx, q, start, fid, tr, withHealth)
+	c.fr.Record(flight.QueryStart, -1, qid, int64(q.S), int64(q.T))
+	ans, m, err := c.eval(ctx, q, start, qid, tr, withHealth)
 	dur := time.Since(start)
 	c.met.queries.Inc()
 	c.met.querySeconds.Observe(dur.Seconds())
@@ -517,9 +471,9 @@ func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace, wi
 		c.met.queryErrors.Inc()
 		errFlag = 1
 		c.log.Warn("query failed", "s", q.S, "t", q.T, "dur", dur, "err", err,
-			obs.TraceIDAttr(fid))
+			obs.TraceIDAttr(qid))
 	}
-	c.fr.Record(flight.QueryEnd, -1, fid, dur.Nanoseconds(), errFlag)
+	c.fr.Record(flight.QueryEnd, -1, qid, dur.Nanoseconds(), errFlag)
 	c.met.cacheHits.Add(int64(m.CacheHits))
 	c.met.cacheMisses.Add(int64(m.SitesQueried - m.CacheHits))
 	c.met.coordCacheHits.Add(int64(m.CoordCacheHits))
@@ -536,9 +490,9 @@ func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace, wi
 		tr.Err = err.Error()
 	}
 	if c.opts.Observer.ObserveTrace(tr) {
-		c.fr.Record(flight.SlowQuery, -1, fid, tr.DurNS, 0)
+		c.fr.Record(flight.SlowQuery, -1, qid, tr.DurNS, 0)
 		c.log.Info("slow query captured", "s", q.S, "t", q.T, "dur", dur,
-			obs.TraceIDAttr(fid))
+			obs.TraceIDAttr(qid))
 	}
 	if wantTrace {
 		// The caller keeps the trace; it never returns to the pool.
@@ -549,11 +503,11 @@ func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace, wi
 }
 
 // eval runs one query: fan out to the sites, collect partial answers, merge
-// and reduce. fid is the query's flight id, carried to the sites so their
+// and reduce. qid is the query id, carried to the sites so their
 // flight events correlate with the coordinator's. When tr is non-nil it
 // accumulates spans for every step; site span buffers are released here
 // after stitching.
-func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Time, fid uint64, tr *obs.Trace, withHealth bool) (bool, *Metrics, error) {
+func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Time, qid uint64, tr *obs.Trace, withHealth bool) (bool, *Metrics, error) {
 	m := &Metrics{DecidedBy: -1}
 	if withHealth {
 		defer func() { m.Health = c.Health() }()
@@ -587,15 +541,13 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		opts := EvalOptions{
 			UseCache:     c.opts.UseCache,
 			ForcePartial: c.opts.ForcePartial,
-			FlightID:     fid,
+			QueryID:      qid,
+			Trace:        tr != nil,
 		}
 		if c.opts.UseCache {
 			if epoch, ok := c.cachedEpoch(cl.SiteID()); ok {
 				opts.IfEpoch, opts.HasIfEpoch = epoch, true
 			}
-		}
-		if tr != nil {
-			opts.TraceID = tr.TraceID
 		}
 		// The envelope is timed unconditionally: the flight recorder wants
 		// every site call, not just traced ones, and two clock reads cost
@@ -620,11 +572,11 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	decidedBy := -1
 	for range c.clients {
 		r := <-replies
-		c.fr.Record(flight.SiteRPC, int32(r.siteID), fid, r.durNS, r.bytes)
+		c.fr.Record(flight.SiteRPC, int32(r.siteID), qid, r.durNS, r.bytes)
 		if r.err != nil {
 			cancelQuery()
 			c.log.Debug("site evaluation failed", "site", r.siteID, "err", r.err,
-				obs.TraceIDAttr(fid))
+				obs.TraceIDAttr(qid))
 			releasePartials(partials)
 			return false, m, fmt.Errorf("dist: site evaluation: %w", r.err)
 		}
@@ -725,13 +677,13 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	scratch, _ := c.mergeGraphs.Get().(*graph.Graph)
 	var mg *graph.Graph
 	if len(cached) >= 2 {
-		snap, hit := c.snapshotFor(cached, fid)
+		snap, hit := c.snapshotFor(cached, qid)
 		mg = snap.skeleton.CloneInto(scratch)
 		m.PartialNodes += snap.nodes
 		m.PartialEdges += snap.edges
 		if hit {
 			m.SnapshotHits++
-			c.fr.Record(flight.SnapHit, -1, fid, int64(snap.nodes), int64(snap.edges))
+			c.fr.Record(flight.SnapHit, -1, qid, int64(snap.nodes), int64(snap.edges))
 		} else {
 			m.SnapshotBuilds++
 		}
@@ -743,7 +695,7 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 			mg = scratch
 		}
 		m.SnapshotMisses++
-		c.fr.Record(flight.SnapMiss, -1, fid, int64(len(cached)), 0)
+		c.fr.Record(flight.SnapMiss, -1, qid, int64(len(cached)), 0)
 		rest = append(cached, rest...)
 	}
 	for _, pa := range rest {
@@ -764,16 +716,15 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	x.Add(q.S)
 	x.Add(q.T)
 	res, err := control.ParallelReduction(ctx, mg, q, x, control.Options{
-		Workers:    c.reduceWorkers(),
-		Trust:      control.FullTrust,
-		FullRescan: c.opts.FullRescan,
-		Obs:        c.met.reduceObs,
-		Logger:     c.opts.Logger,
+		Workers: c.reduceWorkers(),
+		Trust:   control.FullTrust,
+		Obs:     c.met.reduceObs,
+		Logger:  c.opts.Logger,
 	})
 	c.mergeSets.Put(x)
 	c.mergeGraphs.Put(mg)
 	m.CoordElapsed = time.Since(start)
-	c.fr.Record(flight.ReduceRound, -1, fid,
+	c.fr.Record(flight.ReduceRound, -1, qid,
 		int64(res.Stats.Iterations), int64(res.Stats.Removed+res.Stats.Contracted))
 	c.met.phaseMerge.Observe(reduceStart.Sub(start).Seconds())
 	c.met.phaseReduce.Observe(time.Since(reduceStart).Seconds())
@@ -799,7 +750,7 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 // reports whether the skeleton was already cached (a hit) or had to be
 // built. Concurrent queries may race to build the same skeleton; the first
 // published copy wins so later queries clone one shared skeleton.
-func (c *Coordinator) snapshotFor(cached []*PartialAnswer, fid uint64) (*mergedSnapshot, bool) {
+func (c *Coordinator) snapshotFor(cached []*PartialAnswer, qid uint64) (*mergedSnapshot, bool) {
 	sort.Slice(cached, func(i, j int) bool { return cached[i].SiteID < cached[j].SiteID })
 	key := make([]byte, 0, 16*len(cached))
 	for _, pa := range cached {
@@ -809,11 +760,9 @@ func (c *Coordinator) snapshotFor(cached []*PartialAnswer, fid uint64) (*mergedS
 		key = append(key, ';')
 	}
 	k := string(key)
-	shard := snapShardOf(k)
-	sh := &c.snaps[shard]
-	c.lockShard(sh, shard, fid)
-	snap := sh.entries[k]
-	sh.mu.Unlock()
+	c.snapMu.Lock()
+	snap := c.snaps[k]
+	c.snapMu.Unlock()
 	if snap != nil {
 		return snap, true
 	}
@@ -828,22 +777,21 @@ func (c *Coordinator) snapshotFor(cached []*PartialAnswer, fid uint64) (*mergedS
 		sk.Merge(pa.Reduced)
 	}
 	snap = &mergedSnapshot{skeleton: sk, nodes: nodes, edges: edges, sites: sites}
-	c.fr.Record(flight.SnapBuild, -1, fid, time.Since(buildStart).Nanoseconds(), int64(edges))
-	c.lockShard(sh, shard, fid)
-	if have := sh.entries[k]; have != nil {
+	c.fr.Record(flight.SnapBuild, -1, qid, time.Since(buildStart).Nanoseconds(), int64(edges))
+	c.snapMu.Lock()
+	defer c.snapMu.Unlock()
+	if have := c.snaps[k]; have != nil {
 		// Another query built and published the same skeleton first; adopt
 		// it (this build still counts as one: the merge work happened).
-		sh.mu.Unlock()
 		return have, false
 	}
-	if len(sh.entries) >= maxSnapshotsPerShard {
-		droppedN := len(sh.entries)
-		clear(sh.entries)
+	if len(c.snaps) >= maxSnapshots {
+		droppedN := len(c.snaps)
+		clear(c.snaps)
 		c.met.snapshotEvictions.Add(int64(droppedN))
-		c.fr.Record(flight.SnapEvict, -1, fid, int64(droppedN), int64(shard))
+		c.fr.Record(flight.SnapEvict, -1, qid, int64(droppedN), 0)
 	}
-	sh.entries[k] = snap
-	sh.mu.Unlock()
+	c.snaps[k] = snap
 	return snap, false
 }
 

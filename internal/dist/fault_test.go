@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -368,6 +369,54 @@ func TestWriteFailureRetiresGeneration(t *testing.T) {
 	}
 	if h := c.Health(); h.Retries < 1 || h.Redials < 1 {
 		t.Fatalf("expected a retry on a fresh generation, health %+v", h)
+	}
+}
+
+// TestDeadGenerationNotReused pins the gap between a generation's death and
+// its retirement: fail() has woken the generation's callers, but its reader
+// has not yet dropped it. A call starting in that gap must retire the
+// generation and redial on its first attempt, not fail on a connection it
+// never sent anything on; a non-idempotent update would not even retry.
+func TestDeadGenerationNotReused(t *testing.T) {
+	c, err := Dial(context.Background(), startServer(t, testSite(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	calls := []struct {
+		name string
+		do   func() error
+	}{
+		{"update", func() error {
+			_, err := c.Update(ctx, StakeUpdate{Owner: 2, Owned: 3, Weight: 0.2})
+			return err
+		}},
+		{"evaluate", func() error {
+			_, _, err := c.Evaluate(ctx, control.Query{S: 0, T: 1}, EvalOptions{})
+			return err
+		}},
+	}
+	for i, call := range calls {
+		// A failed generation with no reader: nothing but the next call
+		// can retire it. The live generation it replaces is torn down;
+		// its reader's dropConn then finds it no longer installed.
+		end, peer := net.Pipe()
+		peer.Close()
+		dead := newMuxConn(end, c.met)
+		dead.fail(io.EOF)
+		c.mu.Lock()
+		live := c.conn
+		c.conn = dead
+		c.mu.Unlock()
+		live.fail(errors.New("replaced by a dead generation"))
+
+		if err := call.do(); err != nil {
+			t.Fatalf("%s on a dead generation: %v", call.name, err)
+		}
+		if h := c.Health(); h.Redials != int64(i+1) || h.Retries != 0 {
+			t.Fatalf("%s: want one redial and no retry per call, health %+v", call.name, h)
+		}
 	}
 }
 

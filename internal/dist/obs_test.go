@@ -11,6 +11,7 @@ import (
 	"ccp/internal/control"
 	"ccp/internal/graph"
 	"ccp/internal/obs"
+	"ccp/internal/obs/flight"
 	"ccp/internal/partition"
 )
 
@@ -192,18 +193,36 @@ func TestCoordinatorMetricsRegistered(t *testing.T) {
 	}
 }
 
-// FuzzTraceIDWireRoundTrip checks that any trace id survives the gob wire
-// frames unchanged in both directions, and that zero stays zero (zero is
-// the "untraced" sentinel — a transport that invented a trace id would turn
-// tracing on cluster-wide).
+// FuzzTraceIDWireRoundTrip sends an evaluate request carrying any query id,
+// traced or not, through the gob wire frames and a real site server. The id
+// and the trace bit must arrive unchanged, the site's flight event must carry
+// the id, and the response must ship spans exactly when the request asked
+// for them: a transport that turned tracing on by itself would trace the
+// whole cluster.
 func FuzzTraceIDWireRoundTrip(f *testing.F) {
-	f.Add(uint64(0), int64(0))
-	f.Add(uint64(1), int64(1))
-	f.Add(^uint64(0), int64(1<<62))
-	f.Add(uint64(1)<<63, int64(-1))
-	f.Fuzz(func(t *testing.T, id uint64, startNS int64) {
+	f.Add(uint64(0), false)
+	f.Add(uint64(1), true)
+	f.Add(^uint64(0), false)
+	f.Add(uint64(1)<<63, true)
+
+	g := graph.New(4)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}} {
+		if err := g.AddEdge(e[0], e[1], 0.9); err != nil {
+			f.Fatal(err)
+		}
+	}
+	pi, err := partition.ByContiguous(g, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	site := NewSite(pi.Parts[0], 1)
+	o := obs.NewObserver(obs.ObserverConfig{FlightEvents: 1})
+	site.Observe(o)
+	srv := NewServer(site, ServerConfig{})
+
+	f.Fuzz(func(t *testing.T, id uint64, trace bool) {
 		var buf bytes.Buffer
-		req := request{ID: 42, Op: opEvaluate, S: 1, T: 2, TraceID: id}
+		req := request{ID: 42, Op: opEvaluate, S: 0, T: 3, QueryID: id, Trace: trace}
 		if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
 			t.Fatal(err)
 		}
@@ -211,32 +230,33 @@ func FuzzTraceIDWireRoundTrip(f *testing.F) {
 		if err := gob.NewDecoder(&buf).Decode(&gotReq); err != nil {
 			t.Fatal(err)
 		}
-		if gotReq.TraceID != id {
-			t.Fatalf("request trace id %d -> %d", id, gotReq.TraceID)
+		if gotReq.QueryID != id || gotReq.Trace != trace {
+			t.Fatalf("request (id %d, trace %v) arrived as (id %d, trace %v)",
+				id, trace, gotReq.QueryID, gotReq.Trace)
 		}
 
-		buf.Reset()
-		resp := response{ID: 42, Spans: []obs.Span{
-			{Name: "site.reduce", Site: 3, StartNS: startNS, DurNS: 5, Bytes: 9},
-		}}
-		if id == 0 {
-			resp.Spans = nil // untraced responses ship no spans at all
+		resp := srv.serve(context.Background(), &gotReq)
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
 		}
-		if err := gob.NewEncoder(&buf).Encode(&resp); err != nil {
+		evs := o.Flight().Snapshot().Events
+		if len(evs) == 0 || evs[len(evs)-1].Type != flight.SiteEval || evs[len(evs)-1].Trace != id {
+			t.Fatalf("last site flight event does not carry query id %d: %+v", id, evs)
+		}
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
 			t.Fatal(err)
 		}
+		obs.PutSpans(resp.Spans)
 		var gotResp response
 		if err := gob.NewDecoder(&buf).Decode(&gotResp); err != nil {
 			t.Fatal(err)
 		}
-		if id == 0 {
-			if gotResp.Spans != nil {
-				t.Fatalf("untraced response grew spans: %v", gotResp.Spans)
-			}
-			return
+		if trace != (len(gotResp.Spans) > 0) {
+			t.Fatalf("trace=%v but the response shipped %d spans", trace, len(gotResp.Spans))
 		}
-		if len(gotResp.Spans) != 1 || gotResp.Spans[0] != resp.Spans[0] {
-			t.Fatalf("spans round-trip: sent %+v, got %+v", resp.Spans, gotResp.Spans)
+		if !trace && gotResp.Spans != nil {
+			t.Fatalf("untraced response grew spans: %v", gotResp.Spans)
 		}
 	})
 }

@@ -341,8 +341,8 @@ func (s *Server) serve(ctx context.Context, req *request) *response {
 			ForcePartial: req.ForcePartial,
 			IfEpoch:      req.IfEpoch,
 			HasIfEpoch:   req.HasIfEpoch,
-			TraceID:      req.TraceID,
-			FlightID:     req.FlightID,
+			QueryID:      req.QueryID,
+			Trace:        req.Trace,
 		})
 		if err != nil {
 			return errResponse(siteID, err)

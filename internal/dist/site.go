@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"ccp/internal/control"
-	"ccp/internal/datalog"
 	"ccp/internal/graph"
 	"ccp/internal/obs"
 	"ccp/internal/obs/flight"
@@ -54,7 +53,7 @@ type PartialAnswer struct {
 	// EvalOptions.IfEpoch) is still valid; Reduced is nil.
 	NotModified bool
 	// Spans are the site-local trace spans of a traced evaluation
-	// (EvalOptions.TraceID != 0), with StartNS relative to the start of
+	// (EvalOptions.Trace), with StartNS relative to the start of
 	// this evaluation. The slice is pooled: whoever serializes or stitches
 	// it releases it with obs.PutSpans.
 	Spans []obs.Span
@@ -123,16 +122,6 @@ type Site struct {
 	// per-query exclusion sets. Both reach zero steady-state allocations.
 	scratch    sync.Pool
 	exclusions sync.Pool
-
-	fullRescan bool
-
-	// useDatalog enables the goal-directed Datalog evaluator as a local
-	// decision procedure: before reducing, the site tries to derive
-	// control(s,t) over its own partition. dlMu guards the per-epoch solver.
-	useDatalog bool
-	dlMu       sync.Mutex
-	dlSolver   *datalog.CCPSolver
-	dlEpoch    uint64
 
 	met siteMetrics
 	fr  *flight.Recorder
@@ -443,38 +432,6 @@ func (s *Site) StoreStats() (store.Stats, bool) {
 // number when a store is attached).
 func (s *Site) Epoch() uint64 { return s.epoch.Load() }
 
-// SetFullRescan selects the full-rescan reduction engine (ablation
-// abl-frontier) for all subsequent evaluations of this site.
-func (s *Site) SetFullRescan(v bool) { s.fullRescan = v }
-
-// SetDatalogEvaluator enables (or disables) the planned Datalog engine as an
-// alternative local evaluator. When the site stores the query source and its
-// partition contains the target, it first runs a goal-directed control(s,t)
-// derivation over the local graph; a positive local derivation is globally
-// sound — the partition is a subgraph of the company graph and control is
-// monotone under edge addition — so it is returned as a decided answer
-// without reducing. A negative local derivation decides nothing (control may
-// route through other partitions) and falls through to the partial path.
-// Call before the site starts serving.
-func (s *Site) SetDatalogEvaluator(v bool) { s.useDatalog = v }
-
-// datalogSolver returns the per-epoch goal-directed solver over the site's
-// snapshot, rebuilding it when the data moved. Solver queries are safe
-// concurrently; only the rebuild is serialized.
-func (s *Site) datalogSolver(sn *siteSnapshot) (*datalog.CCPSolver, error) {
-	s.dlMu.Lock()
-	defer s.dlMu.Unlock()
-	if s.dlSolver != nil && s.dlEpoch == sn.epoch {
-		return s.dlSolver, nil
-	}
-	solver, err := datalog.NewCCPSolver(sn.local)
-	if err != nil {
-		return nil, err
-	}
-	s.dlSolver, s.dlEpoch = solver, sn.epoch
-	return solver, nil
-}
-
 // reduce runs a reduction with a pooled Reducer (the shared control-layer
 // pool, so sites and the coordinator's batch workers draw from one scratch
 // surface). A cancelled context stops the reduction at the next round
@@ -482,7 +439,6 @@ func (s *Site) datalogSolver(sn *siteSnapshot) (*datalog.CCPSolver, error) {
 // resets all scratch state), so a cancelled query never poisons the site for
 // the queries after it.
 func (s *Site) reduce(ctx context.Context, g *graph.Graph, q control.Query, x graph.NodeSet, opt control.Options) (control.Result, error) {
-	opt.FullRescan = s.fullRescan
 	opt.Obs = s.met.robs
 	opt.Logger = s.log
 	r := control.GetReducer()
@@ -574,15 +530,14 @@ type EvalOptions struct {
 	// coordinator-side cache of Figure 6.
 	IfEpoch    uint64
 	HasIfEpoch bool
-	// TraceID, when non-zero, makes the site record spans for this
-	// evaluation and return them in PartialAnswer.Spans. Zero (the
-	// default) keeps the hot path span-free.
-	TraceID uint64
-	// FlightID correlates the site's flight-recorder events with the
-	// coordinator's for this query. Unlike TraceID it is set on every query
-	// (flight recording is always on and allocation-free), so it must not
-	// enable span recording.
-	FlightID uint64
+	// QueryID identifies the query across coordinator and sites: the site's
+	// flight-recorder events carry it, and a traced query's trace id is the
+	// same number.
+	QueryID uint64
+	// Trace makes the site record spans for this evaluation and return them
+	// in PartialAnswer.Spans. False (the default) keeps the hot path
+	// span-free.
+	Trace bool
 }
 
 // Evaluate computes the partial answer to q (Algorithm 2, line 6). With
@@ -657,30 +612,11 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 			return pa, nil
 		}
 	}
-	if s.useDatalog && !opts.ForcePartial && holdsS && sn.local.Alive(q.T) {
-		// Goal-directed Datalog decision: derive control(s,t) over the local
-		// graph only. Positive answers are globally sound (monotonicity); a
-		// solver error or negative answer falls through to the reduce path.
-		if solver, err := s.datalogSolver(sn); err == nil {
-			if ok, derr := solver.Controls(q.S, q.T); derr == nil && ok {
-				pa := &PartialAnswer{
-					SiteID:  s.part.ID,
-					Ans:     control.True,
-					Elapsed: time.Since(start),
-					Epoch:   sn.epoch,
-				}
-				s.observeEval(pa, opts, "site.datalog", false)
-				return pa, nil
-			}
-		} else {
-			s.log.Debug("datalog evaluator unavailable", "site", s.part.ID, "err", err)
-		}
-	}
 	x := s.takeExclusion(sn.boundary, q)
 	g := sn.local.CloneInto(s.takeScratch())
 	var spans []obs.Span
 	var reduceStart time.Time
-	if opts.TraceID != 0 {
+	if opts.Trace {
 		reduceStart = time.Now()
 		spans = append(obs.GetSpans(), obs.Span{
 			Name:  "site.snapshot",
@@ -718,7 +654,7 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	} else {
 		s.scratch.Put(g)
 	}
-	if opts.TraceID != 0 {
+	if opts.Trace {
 		pa.Spans = append(spans, obs.Span{
 			Name:    "site.reduce",
 			Site:    int32(s.part.ID),
@@ -728,9 +664,9 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	}
 	s.met.cacheMisses.Inc()
 	s.met.evalSeconds.Observe(pa.Elapsed.Seconds())
-	s.fr.Record(flight.ReduceRound, int32(s.part.ID), opts.FlightID,
+	s.fr.Record(flight.ReduceRound, int32(s.part.ID), opts.QueryID,
 		int64(res.Stats.Iterations), int64(res.Stats.Removed+res.Stats.Contracted))
-	s.fr.Record(flight.SiteEval, int32(s.part.ID), opts.FlightID, int64(pa.Elapsed), 0)
+	s.fr.Record(flight.SiteEval, int32(s.part.ID), opts.QueryID, int64(pa.Elapsed), 0)
 	return pa, nil
 }
 
@@ -748,8 +684,8 @@ func (s *Site) observeEval(pa *PartialAnswer, opts EvalOptions, span string, cac
 	if cacheHit {
 		hitFlag = 1
 	}
-	s.fr.Record(flight.SiteEval, int32(pa.SiteID), opts.FlightID, int64(pa.Elapsed), hitFlag)
-	if opts.TraceID != 0 {
+	s.fr.Record(flight.SiteEval, int32(pa.SiteID), opts.QueryID, int64(pa.Elapsed), hitFlag)
+	if opts.Trace {
 		pa.Spans = append(obs.GetSpans(), obs.Span{
 			Name:  span,
 			Site:  int32(pa.SiteID),

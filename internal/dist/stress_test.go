@@ -134,7 +134,7 @@ func TestConcurrentBatchMixedTransports(t *testing.T) {
 	}
 }
 
-// TestAnswerBatchConcurrentStress drives the sharded batch path hard: a
+// TestAnswerBatchConcurrentStress drives the concurrent batch path hard: a
 // 4-site cluster answers merge-path batches (UseCache + ForcePartial) at
 // concurrency 8 with stake updates streamed in between rounds, and a final
 // round races updates against the batch itself. Every deterministic round
@@ -221,7 +221,7 @@ func TestAnswerBatchConcurrentStress(t *testing.T) {
 
 	// Final round: updates race the batch. Answers are allowed to move with
 	// the data; the run must stay error-free (the race detector watches the
-	// sharded caches, the pooled scratch, and snapshot invalidation).
+	// coordinator caches, the pooled scratch, and snapshot invalidation).
 	ups := make([]StakeUpdate, 4)
 	for i := range ups {
 		ups[i] = pickUpdate(graph.NodeID(10 + i))

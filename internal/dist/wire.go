@@ -79,14 +79,12 @@ type request struct {
 	// server-side (context deadline on the evaluation, write deadline on the
 	// response).
 	DeadlineNS int64
-	// TraceID, when non-zero, asks the site to record spans for this
-	// request and return them in the response; zero (the default) keeps the
-	// evaluation entirely untraced.
-	TraceID uint64
-	// FlightID correlates the site's flight-recorder events with the
-	// coordinator's; unlike TraceID it is set on every query and does not
-	// enable span recording.
-	FlightID uint64
+	// QueryID is EvalOptions.QueryID: the coordinator's id for the query,
+	// carried on every evaluate request.
+	QueryID uint64
+	// Trace asks the site to record spans for this request and return them
+	// in the response; false (the default) keeps the evaluation untraced.
+	Trace bool
 	// opUpdate / opCrossIn payloads.
 	Update StakeUpdate
 	Delta  int
@@ -125,7 +123,7 @@ type response struct {
 	Epoch       uint64
 	NotModified bool
 	// Spans are the site-local trace spans of a traced evaluate request
-	// (request.TraceID != 0), with StartNS relative to the site's own
+	// (request.Trace), with StartNS relative to the site's own
 	// request start; the coordinator re-bases them when stitching.
 	Spans []obs.Span
 	// Replication payloads. Records is a frame-encoded WAL record batch

@@ -172,3 +172,54 @@ func TestLocalClientWithoutByteMeasuring(t *testing.T) {
 		t.Fatalf("site id = %d", lc.SiteID())
 	}
 }
+
+// TestSparsePartialDecodesOverTCP: a site's graph takes its capacity from the
+// largest global id it references, and its reduced partials keep that
+// capacity while carrying only a few live nodes. Such a partial, from an id
+// space past 2^20, must decode at the client on both the pooled live path
+// and the cached path.
+func TestSparsePartialDecodesOverTCP(t *testing.T) {
+	const far = graph.NodeID(1<<20 + 1)
+	// One site holding every node, built directly so that the id space is
+	// allocated once.
+	g := graph.New(int(far) + 1)
+	for v := graph.NodeID(0); v < far; v++ {
+		if v != 0 && v != 2 {
+			g.RemoveNode(v)
+		}
+	}
+	for _, e := range []graph.Edge{{From: 0, To: far, Weight: 0.6}, {From: far, To: 2, Weight: 0.6}} {
+		if err := g.AddEdge(e.From, e.To, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	part := &partition.Partition{
+		Local:   g,
+		Members: graph.NewNodeSet(0, 2, far),
+		Virtual: graph.NewNodeSet(),
+		InNodes: graph.NewNodeSet(),
+		CrossIn: map[graph.NodeID]int{},
+	}
+	c, err := Dial(context.Background(), startServer(t, NewSite(part, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	live, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 2}, EvalOptions{ForcePartial: true})
+	if err != nil {
+		t.Fatalf("live partial: %v", err)
+	}
+	if live.Reduced == nil || live.Reduced.Cap() <= int(far) || live.Reduced.NumNodes() > 3 {
+		t.Fatalf("live partial is not a sparse graph over the far id: %+v", live)
+	}
+	live.Release()
+	// Ids 1 and 3 are not held here, so the site answers from its cache.
+	cached, _, err := c.Evaluate(context.Background(), control.Query{S: 1, T: 3}, EvalOptions{UseCache: true})
+	if err != nil {
+		t.Fatalf("cached partial: %v", err)
+	}
+	if !cached.FromCache || cached.Reduced == nil || cached.Reduced.Cap() <= int(far) {
+		t.Fatalf("cached partial is not a graph over the far id: %+v", cached)
+	}
+}

@@ -35,9 +35,6 @@ type Config struct {
 	// PathBudget bounds each Figure 9 path-enumeration run (default
 	// DefaultPathBudget); crossing it marks the point DNF.
 	PathBudget time.Duration
-	// FullRescan runs every reduction with the full-rescan engine instead of
-	// the frontier engine (ablation abl-frontier; ccpbench -full-rescan).
-	FullRescan bool
 }
 
 func (c Config) withDefaults() Config {

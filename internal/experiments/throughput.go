@@ -189,7 +189,6 @@ func Throughput(cfg Config) (ThroughputResult, error) {
 	clients := make([]dist.SiteClient, len(pi.Parts))
 	for i, p := range pi.Parts {
 		s := dist.NewSite(p, cfg.Workers)
-		s.SetFullRescan(cfg.FullRescan)
 		clients[i] = &dist.LocalClient{Site: s}
 	}
 	concurrency := cfg.Concurrency
@@ -202,7 +201,6 @@ func Throughput(cfg Config) (ThroughputResult, error) {
 		UseCache:    true,
 		Workers:     cfg.Workers,
 		Concurrency: concurrency,
-		FullRescan:  cfg.FullRescan,
 		Observer:    observer,
 	})
 	if err := coord.PrecomputeAll(context.Background()); err != nil {

@@ -2,12 +2,21 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
 
-// FuzzReadBinary throws mutated byte streams at the binary decoder: it must
-// reject or accept, never panic, and anything it accepts must re-encode.
+// fuzzMaxCap bounds the id capacity a fuzzed CCPG1 payload may declare. The
+// format admits any capacity in the NodeID range and the decoder sizes its
+// per-node arrays from it, so an unbounded fuzzer spends its memory on huge
+// empty id spaces instead of on the parse.
+const fuzzMaxCap = 1 << 16
+
+// FuzzReadBinary throws mutated byte payloads at the CCPG1 decoder: it must
+// reject or accept, never panic; decoding into a dirty pooled graph must give
+// the same result as decoding into a fresh one; and anything it accepts must
+// re-encode into a payload that decodes to the same graph.
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a couple of valid graphs.
 	for seed := int64(1); seed <= 3; seed++ {
@@ -24,20 +33,36 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
+		if len(data) >= len(binaryMagic)+4 && binary.LittleEndian.Uint32(data[len(binaryMagic):]) > fuzzMaxCap {
+			return
+		}
+		g, err := DecodeBinary(data)
+		dirty := New(6)
+		dirty.AddEdge(0, 3, 0.7)
+		dirty.AddEdge(4, 5, 0.2)
+		h, errInto := DecodeBinaryInto(dirty, data)
+		if (err == nil) != (errInto == nil) {
+			t.Fatalf("fresh decode err=%v, pooled decode err=%v", err, errInto)
+		}
 		if err != nil {
 			return
+		}
+		if !Equal(g, h, 0) {
+			t.Fatal("decoding into a pooled graph differs from a fresh decode")
+		}
+		if err := checkAggregates(h); err != nil {
+			t.Fatalf("pooled decode: %v", err)
 		}
 		// Accepted graphs must round-trip.
 		var buf bytes.Buffer
 		if err := g.WriteBinary(&buf); err != nil {
 			t.Fatalf("accepted graph cannot encode: %v", err)
 		}
-		h, err := ReadBinary(&buf)
+		back, err := DecodeBinary(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !Equal(g, h, 0) {
+		if !Equal(g, back, 0) {
 			t.Fatal("round trip changed accepted graph")
 		}
 	})

@@ -102,68 +102,17 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary.
+// ReadBinary deserializes a graph written by WriteBinary. It reads r to the
+// end and parses the bytes with DecodeBinary, so a stream and an in-memory
+// payload go through the same decoder: the graph must be the last thing in
+// the stream, bytes past it are ignored, and the raw bytes and the decoded
+// graph are both held until it returns.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, errors.New("graph: bad magic, not a CCPG1 file")
-	}
-	var buf [8]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(buf[:4]), nil
-	}
-	capacity, err := readU32()
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: reading CCPG1 stream: %w", err)
 	}
-	nAlive, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if nAlive > capacity {
-		return nil, fmt.Errorf("graph: live count %d exceeds capacity %d", nAlive, capacity)
-	}
-	g := newShell(int(capacity))
-	for i := uint32(0); i < nAlive; i++ {
-		id, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if id >= capacity {
-			return nil, fmt.Errorf("graph: node id %d out of range", id)
-		}
-		g.alive[id] = true
-		g.nAlive++
-	}
-	nEdges, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nEdges; i++ {
-		from, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		to, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, err
-		}
-		w := math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-		if err := g.AddEdge(NodeID(from), NodeID(to), w); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return DecodeBinary(data)
 }
 
 // DecodeBinary parses a CCPG1 payload held wholly in memory, as produced by
@@ -174,10 +123,15 @@ func DecodeBinary(data []byte) (*Graph, error) {
 }
 
 // DecodeBinaryInto parses a CCPG1 payload into dst, reusing dst's slices and
-// edge maps; a nil dst allocates a fresh graph. Like ReadBinary it ignores
-// trailing bytes. On error the destination's contents are unspecified and it
-// must not be returned to a pool. A pooled dst cycling through same-shaped
-// payloads decodes without allocating.
+// edge maps; a nil dst allocates a fresh graph. It ignores trailing bytes.
+// The declared id capacity sizes every per-node array before any id is read,
+// and a valid payload may declare far more ids than it carries (a reduced
+// partial keeps the global id space but few live nodes), so the decoder
+// bounds it only by the NodeID range; a caller decoding untrusted bytes must
+// bound it itself.
+// On error the destination's contents are unspecified and it must not be
+// returned to a pool. A pooled dst cycling through same-shaped payloads
+// decodes without allocating.
 func DecodeBinaryInto(dst *Graph, data []byte) (*Graph, error) {
 	if len(data) < len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
 		return nil, errors.New("graph: bad magic, not a CCPG1 payload")
@@ -201,6 +155,9 @@ func DecodeBinaryInto(dst *Graph, data []byte) (*Graph, error) {
 	}
 	if nAlive > capacity {
 		return nil, fmt.Errorf("graph: live count %d exceeds capacity %d", nAlive, capacity)
+	}
+	if capacity > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: capacity %d exceeds the NodeID range", capacity)
 	}
 	g := dst
 	if g == nil {

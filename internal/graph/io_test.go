@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -73,6 +75,74 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-4]
 	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated input accepted")
+	}
+}
+
+// TestBinaryDuplicateLiveIDs pins the CCPG1 payload that once made the
+// stream and in-memory decoders disagree: capacity 4, a live count of 2 that
+// names id 1 twice, and no edges. Both entry points must count one live
+// node, and the result must re-encode into a payload that decodes again.
+func TestBinaryDuplicateLiveIDs(t *testing.T) {
+	payload := []byte(binaryMagic)
+	for _, x := range []uint32{4, 2, 1, 1, 0} {
+		payload = binary.LittleEndian.AppendUint32(payload, x)
+	}
+	fromStream, err := ReadBinary(bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBytes, err := DecodeBinary(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"ReadBinary": fromStream, "DecodeBinary": fromBytes} {
+		if g.NumNodes() != 1 || !g.Alive(1) {
+			t.Fatalf("%s: %d live nodes, want exactly node 1", name, g.NumNodes())
+		}
+	}
+	if !Equal(fromStream, fromBytes, 0) {
+		t.Fatal("ReadBinary and DecodeBinary disagree on the same payload")
+	}
+	var buf bytes.Buffer
+	if err := fromStream.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatalf("re-encoded graph does not decode: %v", err)
+	}
+	if !Equal(fromStream, again, 0) {
+		t.Fatal("re-encoding changed the graph")
+	}
+}
+
+// TestBinaryCapacityBounds: the decoder refuses a capacity past the NodeID
+// range, but not a sparse payload that declares far more ids than it carries
+// (a reduced partial keeps the global id space), however short it is.
+func TestBinaryCapacityBounds(t *testing.T) {
+	payload := func(capacity uint32, live ...uint32) []byte {
+		p := []byte(binaryMagic)
+		p = binary.LittleEndian.AppendUint32(p, capacity)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(live)))
+		for _, id := range live {
+			p = binary.LittleEndian.AppendUint32(p, id)
+		}
+		return binary.LittleEndian.AppendUint32(p, 0)
+	}
+	huge := payload(math.MaxInt32 + 1)
+	if _, err := DecodeBinary(huge); err == nil {
+		t.Fatal("DecodeBinary accepted a capacity past the NodeID range")
+	}
+	if _, err := ReadBinary(bytes.NewReader(huge)); err == nil {
+		t.Fatal("ReadBinary accepted a capacity past the NodeID range")
+	}
+	const sparse = 1<<20 + 1
+	g, err := DecodeBinary(payload(sparse, sparse-1))
+	if err != nil {
+		t.Fatalf("sparse %d-id payload rejected: %v", sparse, err)
+	}
+	if g.Cap() != sparse || g.NumNodes() != 1 || !g.Alive(sparse-1) {
+		t.Fatalf("sparse payload decoded to cap=%d nodes=%d", g.Cap(), g.NumNodes())
 	}
 }
 

@@ -65,15 +65,12 @@ const (
 	// SnapBuild marks a merged skeleton being built and cached; A1 is the
 	// build duration in nanoseconds, A2 the skeleton's edge count.
 	SnapBuild
-	// SnapEvict marks a snapshot-cache shard clearing at capacity; A1 is the
-	// number of entries dropped, A2 the shard index.
+	// SnapEvict marks the snapshot cache clearing at capacity; A1 is the
+	// number of entries dropped.
 	SnapEvict
 	// SnapDrop marks snapshots invalidated by an update; A1 is the number of
 	// entries dropped, Site the updated site whose epoch moved.
 	SnapDrop
-	// ShardWait marks a coordinator cache shard found locked on first try —
-	// contention the sharding was meant to avoid; A1 is the shard index.
-	ShardWait
 	// WALAppend is one record appended to a site's durable WAL; A1 is the
 	// record's sequence number, A2 the framed record bytes.
 	WALAppend
@@ -124,7 +121,6 @@ var typeNames = [numTypes]string{
 	SnapBuild:      "snap.build",
 	SnapEvict:      "snap.evict",
 	SnapDrop:       "snap.drop",
-	ShardWait:      "shard.wait",
 	WALAppend:      "wal.append",
 	CkptBuild:      "ckpt.build",
 	RecoverReplay:  "recover.replay",
@@ -233,12 +229,8 @@ func (e Event) Detail() string {
 		return fmt.Sprintf("cached=%d", e.A1)
 	case SnapBuild:
 		return fmt.Sprintf("dur=%v edges=%d", time.Duration(e.A1), e.A2)
-	case SnapEvict:
-		return fmt.Sprintf("dropped=%d shard=%d", e.A1, e.A2)
-	case SnapDrop:
+	case SnapEvict, SnapDrop:
 		return fmt.Sprintf("dropped=%d", e.A1)
-	case ShardWait:
-		return fmt.Sprintf("shard=%d", e.A1)
 	case WALAppend:
 		return fmt.Sprintf("seq=%d bytes=%d", e.A1, e.A2)
 	case CkptBuild:

@@ -81,7 +81,9 @@ func (p *Partition) WriteBinary(w io.Writer) error {
 	return p.Local.WriteBinary(w)
 }
 
-// ReadPartition deserializes a partition written by WriteBinary.
+// ReadPartition deserializes a partition written by WriteBinary. The local
+// graph is the last field and is read to the end of r (see graph.ReadBinary),
+// so a CCPP1 payload must be the last thing in the stream.
 func ReadPartition(r io.Reader) (*Partition, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(partitionMagic))

@@ -252,7 +252,8 @@ func graphFingerprint(g *graph.Graph) [3]float64 {
 // TestSnapshotsNeverMixEpochs streams updates from one goroutine while many
 // readers take snapshots: every snapshot's graph must exactly match the
 // state its epoch number was assigned for — no torn reads, no mixed epochs.
-// Run under -race this also proves the COW discipline on the shared maps.
+// Run under -race this also proves that clones sharing one base adjacency
+// never write it.
 func TestSnapshotsNeverMixEpochs(t *testing.T) {
 	s, err := OpenDurableSite(t.TempDir(), durableSeed(11, 16, 0), 2, store.Options{NoSync: true})
 	if err != nil {

@@ -223,7 +223,7 @@ func ExtractSeries(data []byte) ([]Series, error) {
 		}
 		if doc.Snapshot.Ratio > 0 {
 			// The whole durability+MVCC tax on the read path; ~1.0 when
-			// snapshots stay copy-on-write and commits stay off reads.
+			// snapshots stay cheap clones and commits stay off reads.
 			out = append(out, Series{Name: "store/durable_over_memory_qps",
 				Value: doc.Snapshot.Ratio, HigherIsBetter: true, Gated: true})
 		}

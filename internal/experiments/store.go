@@ -54,7 +54,7 @@ type StoreBenchResult struct {
 		MemoryQPS  float64 `json:"memory_qps"`
 		DurableQPS float64 `json:"durable_qps"`
 		// Ratio is DurableQPS / MemoryQPS — near 1.0 when WAL commits and
-		// COW snapshots stay off the read path.
+		// snapshot clones stay off the read path.
 		Ratio float64 `json:"durable_over_memory"`
 	} `json:"snapshot"`
 }
@@ -226,7 +226,7 @@ func StoreBench(cfg Config) (*StoreBenchResult, error) {
 	// --- Snapshot-pin overhead: an identical deterministic mix of updates
 	// and queries against a site with and without the store underneath.
 	// Every update invalidates the snapshot, so every query pays a fresh
-	// COW snapshot plus (on the durable site) the WAL commits; the ratio
+	// snapshot clone plus (on the durable site) the WAL commits; the ratio
 	// is the whole durability+MVCC tax on a churning read path. The mix is
 	// interleaved on one goroutine so the comparison measures the code,
 	// not the scheduler — the concurrent-readers case is covered by the

@@ -8,51 +8,78 @@ import (
 )
 
 // checkAggregates recomputes every cached per-node aggregate from the
-// adjacency maps and compares it against the cache. The in-sum is compared
+// adjacency and compares it against the cache: degrees, in-sum, controlling
+// stakes. It also checks the storage invariants: dead nodes have no state
+// and no edges, and no edge has a dead endpoint. The in-sum is compared
 // with a tolerance far below ControlEps, since the cache accumulates deltas
 // incrementally.
 func checkAggregates(g *Graph) error {
+	edges := 0
 	for i := range g.alive {
 		v := NodeID(i)
 		var sum float64
-		var big int32
+		var big, in, out int32
 		bigPred := None
-		for u, w := range g.in[v] {
+		preds := map[NodeID]float64{}
+		var bad error
+		g.eachIn(v, func(_ int32, u NodeID, w float64) {
+			in++
 			sum += w
+			preds[u] = w
 			if ExceedsControl(w) {
 				big++
 				bigPred = u
 			}
-		}
+			if !g.alive[u] && bad == nil {
+				bad = fmt.Errorf("node %d: in-edge from dead node %d", v, u)
+			}
+		})
 		var outBig int32
-		for _, w := range g.out[v] {
+		g.eachOut(v, func(_ int32, u NodeID, w float64) {
+			out++
 			if ExceedsControl(w) {
 				outBig++
 			}
+			if hw, ok := g.Label(v, u); g.alive[v] && (!ok || hw != w) && bad == nil {
+				bad = fmt.Errorf("node %d: out-edge to %d (%g) not found by Label (%g,%v)", v, u, w, hw, ok)
+			}
+		})
+		if bad != nil {
+			return bad
 		}
-		if math.Abs(sum-g.inSum[v]) > 1e-11 {
-			return fmt.Errorf("node %d: cached inSum %g, adjacency sums to %g", v, g.inSum[v], sum)
+		edges += int(out)
+		s := g.st[v]
+		if !g.alive[i] {
+			if in != 0 || out != 0 || s != (nodeState{}) {
+				return fmt.Errorf("dead node %d keeps edges (%d in, %d out) or state %+v", v, in, out, s)
+			}
+			continue
 		}
-		if big != g.inBig[v] {
-			return fmt.Errorf("node %d: cached inBig %d, adjacency has %d", v, g.inBig[v], big)
+		if in != s.inDeg || out != s.outDeg {
+			return fmt.Errorf("node %d: cached degrees (%d in, %d out), adjacency has (%d, %d)", v, s.inDeg, s.outDeg, in, out)
 		}
-		if outBig != g.outBig[v] {
-			return fmt.Errorf("node %d: cached outBig %d, adjacency has %d", v, g.outBig[v], outBig)
+		if math.Abs(sum-s.inSum) > 1e-11 {
+			return fmt.Errorf("node %d: cached inSum %g, adjacency sums to %g", v, s.inSum, sum)
+		}
+		if big != s.inBig {
+			return fmt.Errorf("node %d: cached inBig %d, adjacency has %d", v, s.inBig, big)
+		}
+		if outBig != s.outBig {
+			return fmt.Errorf("node %d: cached outBig %d, adjacency has %d", v, s.outBig, outBig)
 		}
 		switch {
-		case big == 0:
-			if g.bigIn[v] != None {
-				return fmt.Errorf("node %d: cached bigIn %d with no controlling stake", v, g.bigIn[v])
-			}
 		case big == 1:
-			if g.bigIn[v] != bigPred {
-				return fmt.Errorf("node %d: cached bigIn %d, controlling predecessor is %d", v, g.bigIn[v], bigPred)
+			if s.bigIn != bigPred {
+				return fmt.Errorf("node %d: cached bigIn %d, controlling predecessor is %d", v, s.bigIn, bigPred)
 			}
-		default:
-			if w, ok := g.in[v][g.bigIn[v]]; !ok || !ExceedsControl(w) {
-				return fmt.Errorf("node %d: cached bigIn %d does not hold a controlling stake", v, g.bigIn[v])
+		case big > 1:
+			if w, ok := preds[s.bigIn]; !ok || !ExceedsControl(w) {
+				return fmt.Errorf("node %d: cached bigIn %d does not hold a controlling stake", v, s.bigIn)
 			}
 		}
+	}
+	if edges != g.nEdges {
+		return fmt.Errorf("edge count %d, adjacency has %d", g.nEdges, edges)
 	}
 	return nil
 }
@@ -72,6 +99,9 @@ func TestAggregatesUnderRandomMutations(t *testing.T) {
 			}
 		}
 		for step := 0; step < 300; step++ {
+			if step%100 == 50 {
+				g.compact() // later steps hit base edges too
+			}
 			u := NodeID(rng.Intn(g.Cap()))
 			v := NodeID(rng.Intn(g.Cap()))
 			switch op := rng.Intn(10); {
@@ -138,6 +168,7 @@ func TestBatchMatchesFullScan(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			_ = g.MergeEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), rng.Float64()*0.4+0.05)
 		}
+		g.compact() // base edges, plus the overlay edges below
 		for i := 0; i < 10; i++ {
 			_ = g.MergeEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), 0.7)
 		}
@@ -201,12 +232,12 @@ func requireEqualGraphs(t *testing.T, seed int64, op string, a, b *Graph) {
 		if a.Alive(v) != b.Alive(v) {
 			t.Fatalf("seed %d %s: node %d alive mismatch", seed, op, v)
 		}
-		for u, w := range a.out[v] {
-			if bw, ok := b.out[v][u]; !ok || bw != w {
+		a.EachOut(v, func(u NodeID, w float64) {
+			if bw, ok := b.Label(v, u); !ok || bw != w {
 				t.Fatalf("seed %d %s: edge (%d,%d) label %g vs %g (exists=%v)", seed, op, v, u, w, bw, ok)
 			}
-		}
-		if len(a.out[v]) != len(b.out[v]) || len(a.in[v]) != len(b.in[v]) {
+		})
+		if a.OutDegree(v) != b.OutDegree(v) || a.InDegree(v) != b.InDegree(v) {
 			t.Fatalf("seed %d %s: node %d degree mismatch", seed, op, v)
 		}
 	}
@@ -230,15 +261,15 @@ func requireTouchedCoversNeighbors(t *testing.T, seed int64, orig *Graph, victim
 		if !orig.Alive(v) {
 			continue
 		}
-		for u := range orig.in[v] {
+		orig.EachIn(v, func(u NodeID, _ float64) {
 			if !isVictim[u] && !got[u] {
 				t.Fatalf("seed %d: predecessor %d of removed %d missing from touched set", seed, u, v)
 			}
-		}
-		for u := range orig.out[v] {
+		})
+		orig.EachOut(v, func(u NodeID, _ float64) {
 			if !isVictim[u] && !got[u] {
 				t.Fatalf("seed %d: successor %d of removed %d missing from touched set", seed, u, v)
 			}
-		}
+		})
 	}
 }

@@ -65,13 +65,14 @@ func (g *Graph) ClassOf(v NodeID, excluded bool) Class {
 	if !g.Alive(v) {
 		return C1
 	}
-	if len(g.out[v]) == 0 || len(g.in[v]) == 0 {
+	s := &g.st[v]
+	if s.outDeg == 0 || s.inDeg == 0 {
 		return C1
 	}
 	switch {
-	case !ExceedsControl(g.inSum[v]):
+	case !ExceedsControl(s.inSum):
 		return C2
-	case g.inBig[v] > 0:
+	case s.inBig > 0:
 		return C3
 	default:
 		return C4

@@ -3,14 +3,17 @@
 // edge labels are equity fractions in (0, 1].
 //
 // The representation is optimized for the reduction algorithms of the
-// paper: node removal, edge transfer and label merging are all O(1) per
-// edge, and nodes are identified by dense int32 ids so that parallel
+// paper and for the copy-then-reduce pattern of partial evaluation. The
+// adjacency lives in an immutable compressed-sparse-row base shared by
+// every copy of a graph; each copy keeps a small mutable overlay of what
+// differs from the base (retired base edges, added edges, merged labels).
+// Copying a graph therefore copies per-node scalars and the overlay, never
+// the base edges. Nodes are identified by dense int32 ids so that parallel
 // workers can own disjoint id shards.
 package graph
 
 import (
 	"fmt"
-	"maps"
 	"math"
 )
 
@@ -30,49 +33,79 @@ const ControlThreshold = 0.5
 // of a node sum to at most 1.
 const sumSlack = 1e-9
 
+// Overlay compaction: once the overlay records plus the retired base edges
+// of a graph reach compactMin and a 1/compactDiv share of its base, the next
+// single-edge mutation folds them into a new base. Bulk reductions never
+// compact; their graphs are per-query copies.
+const (
+	compactMin = 256
+	compactDiv = 4
+)
+
 // Graph is a mutable ownership graph. The zero value is an empty graph.
 //
 // Invariants maintained by the mutators:
 //   - no self loops,
 //   - no parallel edges (AddEdge rejects duplicates, MergeEdge sums labels),
-//   - every label is in (0, 1].
+//   - every label is in (0, 1],
+//   - every edge with a dead endpoint is retired.
 //
 // The incoming-label sum of a node may transiently exceed 1 during R3 label
 // transfer; CheckOwnership verifies the input-data invariant sum <= 1.
 //
 // Every mutator additionally maintains per-node cached aggregates — the
-// incoming-label sum, the number of incoming and outgoing labels exceeding
-// the control threshold, and (when unique) the predecessor holding the
-// controlling stake — so that ClassOf, InSum, DirectController and the
-// termination checks are O(1) lookups instead of adjacency scans. The cached
-// in-sum is updated incrementally; float drift stays orders of magnitude
-// below ControlEps because every delta is exact to one rounding of the
-// running sum.
+// degrees, the incoming-label sum, the number of incoming and outgoing
+// labels exceeding the control threshold, and (when unique) the predecessor
+// holding the controlling stake — so that ClassOf, InSum, DirectController
+// and the termination checks are O(1) lookups instead of adjacency scans.
+// The cached in-sum is updated incrementally; float drift stays orders of
+// magnitude below ControlEps because every delta is exact to one rounding of
+// the running sum.
+//
+// Storage: base is an immutable CSR adjacency that copies share. An edge is
+// either a base slot (retired in this copy when gone[slot] is set) or an
+// overlay record in ov (retired when its label is 0). Overlay records are
+// threaded into per-node singly linked out- and in-lists whose heads live in
+// the node's state.
 //
 // A Graph is not safe for concurrent mutation; the par package routes
-// concurrent mutations so that each node's adjacency is touched by exactly
-// one goroutine (aggregates of a node are only written by the worker owning
-// that node's shard).
+// concurrent mutations so that each node's state is written by exactly one
+// goroutine. Concurrent reads — including Clone — are safe.
 type Graph struct {
-	out    []map[NodeID]float64
-	in     []map[NodeID]float64
+	base   *csr
 	alive  []bool
+	st     []nodeState
 	nAlive int
 	nEdges int
 
-	// Cached aggregates, indexed by node id.
-	inSum  []float64 // Σ incoming labels
-	inBig  []int32   // #incoming labels exceeding the control threshold
-	bigIn  []NodeID  // a predecessor with a controlling stake (None if inBig == 0)
-	outBig []int32   // #outgoing labels exceeding the control threshold
-
-	// Copy-on-write bookkeeping (see SnapshotClone). tags == nil means the
-	// graph has never snapshotted and owns every map outright; otherwise
-	// tags[v] == tag marks v's adjacency maps as exclusively owned, anything
-	// else as possibly shared with a snapshot sibling.
-	tags []uint64
-	tag  uint64
+	gone []bool   // base slots retired in this copy; empty when none is
+	ov   []ovEdge // edges added since the base was built
+	debt int      // overlay records + retired base slots, the compaction trigger
 }
+
+// nodeState is a node's cached aggregates and overlay list heads. The zero
+// value is the state of a node without edges.
+type nodeState struct {
+	inSum  float64 // Σ incoming labels
+	inBig  int32   // #incoming labels exceeding the control threshold
+	outBig int32   // #outgoing labels exceeding the control threshold
+	bigIn  NodeID  // a predecessor with a controlling stake; meaningful while inBig > 0
+	outDeg int32
+	inDeg  int32
+	ovOut  int32 // 1 + first overlay record leaving the node; 0 ends the list
+	ovIn   int32 // 1 + first overlay record entering the node; 0 ends the list
+}
+
+// ovEdge is one overlay edge record. A label of 0 marks it retired.
+type ovEdge struct {
+	from, to NodeID
+	w        float64
+	nextOut  int32 // 1 + next record in from's out-list; 0 ends it
+	nextIn   int32 // 1 + next record in to's in-list; 0 ends it
+}
+
+// An edge handle names one live edge of a copy: a base slot (>= 0) or an
+// overlay record k (encoded as -(k+1)).
 
 // New returns a graph with n live nodes (ids 0..n-1) and no edges.
 func New(n int) *Graph {
@@ -85,38 +118,23 @@ func New(n int) *Graph {
 }
 
 // newShell allocates a graph with the given id capacity and every node dead.
-// Callers revive nodes and insert edges through the regular mutators so the
-// cached aggregates stay consistent.
 func newShell(capacity int) *Graph {
-	g := &Graph{
-		out:    make([]map[NodeID]float64, capacity),
-		in:     make([]map[NodeID]float64, capacity),
-		alive:  make([]bool, capacity),
-		inSum:  make([]float64, capacity),
-		inBig:  make([]int32, capacity),
-		bigIn:  make([]NodeID, capacity),
-		outBig: make([]int32, capacity),
-	}
-	for i := range g.bigIn {
-		g.bigIn[i] = None
-	}
-	return g
+	return &Graph{alive: make([]bool, capacity), st: make([]nodeState, capacity)}
 }
 
 // accountIn folds a label change of edge (u, v) — old to w, either of which
 // may be 0 for insertion/deletion — into v's cached in-aggregates.
 func (g *Graph) accountIn(u, v NodeID, old, w float64) {
-	g.inSum[v] += w - old
+	s := &g.st[v]
+	s.inSum += w - old
 	ob, nb := ExceedsControl(old), ExceedsControl(w)
 	switch {
 	case nb && !ob:
-		g.inBig[v]++
-		g.bigIn[v] = u
+		s.inBig++
+		s.bigIn = u
 	case ob && !nb:
-		g.inBig[v]--
-		if g.inBig[v] == 0 {
-			g.bigIn[v] = None
-		} else if g.bigIn[v] == u {
+		s.inBig--
+		if s.inBig > 0 && s.bigIn == u {
 			g.refreshBigIn(v)
 		}
 	}
@@ -126,12 +144,13 @@ func (g *Graph) accountIn(u, v NodeID, old, w float64) {
 // only runs when several controlling stakes coexist (in-sum transiently
 // above 1) and the tracked one disappears.
 func (g *Graph) refreshBigIn(v NodeID) {
-	g.bigIn[v] = None
-	for u, w := range g.in[v] {
-		if ExceedsControl(w) && (g.bigIn[v] == None || u < g.bigIn[v]) {
-			g.bigIn[v] = u
+	best := None
+	g.eachIn(v, func(_ int32, u NodeID, w float64) {
+		if ExceedsControl(w) && (best == None || u < best) {
+			best = u
 		}
-	}
+	})
+	g.st[v].bigIn = best
 }
 
 // accountOut folds a label change of an edge leaving u into u's cached
@@ -139,18 +158,171 @@ func (g *Graph) refreshBigIn(v NodeID) {
 func (g *Graph) accountOut(u NodeID, old, w float64) {
 	ob, nb := ExceedsControl(old), ExceedsControl(w)
 	if nb && !ob {
-		g.outBig[u]++
+		g.st[u].outBig++
 	} else if ob && !nb {
-		g.outBig[u]--
+		g.st[u].outBig--
 	}
 }
 
-// resetAggregates clears the cached aggregates of a removed node.
-func (g *Graph) resetAggregates(v NodeID) {
-	g.inSum[v] = 0
-	g.inBig[v] = 0
-	g.bigIn[v] = None
-	g.outBig[v] = 0
+// eachOut calls fn(h, u, w) for every live out-edge (v, u) of v, h being the
+// edge's handle. It does not check that v itself is live. fn may retire the
+// edge it is given and may append overlay records for other nodes.
+func (g *Graph) eachOut(v NodeID, fn func(h int32, u NodeID, w float64)) {
+	if b := g.base; b.has(v) {
+		for e := b.outOff[v]; e < b.outOff[v+1]; e++ {
+			if len(g.gone) == 0 || !g.gone[e] {
+				fn(e, b.outDst[e], b.outW[e])
+			}
+		}
+	}
+	for k := g.st[v].ovOut; k != 0; {
+		r := g.ov[k-1]
+		if r.w != 0 {
+			fn(-k, r.to, r.w)
+		}
+		k = r.nextOut
+	}
+}
+
+// eachIn is eachOut for the in-edges (p, v) of v.
+func (g *Graph) eachIn(v NodeID, fn func(h int32, p NodeID, w float64)) {
+	if b := g.base; b.has(v) {
+		for j := b.inOff[v]; j < b.inOff[v+1]; j++ {
+			if e := b.inEdge[j]; len(g.gone) == 0 || !g.gone[e] {
+				fn(e, b.inSrc[j], b.outW[e])
+			}
+		}
+	}
+	for k := g.st[v].ovIn; k != 0; {
+		r := g.ov[k-1]
+		if r.w != 0 {
+			fn(-k, r.from, r.w)
+		}
+		k = r.nextIn
+	}
+}
+
+// find returns the handle and label of the live edge (u, v). Both ids must
+// be inside the id space. The base side is a binary search; the overlay side
+// walks u's out-list and v's in-list in lockstep, so it costs at most twice
+// the shorter of the two.
+func (g *Graph) find(u, v NodeID) (int32, float64, bool) {
+	if b := g.base; b.has(u) {
+		lo, hi := b.outOff[u], b.outOff[u+1]
+		end := hi
+		for lo < hi {
+			mid := int32(uint32(lo+hi) >> 1)
+			if b.outDst[mid] < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo < end && b.outDst[lo] == v && (len(g.gone) == 0 || !g.gone[lo]) {
+			return lo, b.outW[lo], true
+		}
+	}
+	a, c := g.st[u].ovOut, g.st[v].ovIn
+	for a != 0 && c != 0 {
+		r := &g.ov[a-1]
+		if r.to == v && r.w != 0 {
+			return -a, r.w, true
+		}
+		s := &g.ov[c-1]
+		if s.from == u && s.w != 0 {
+			return -c, s.w, true
+		}
+		a, c = r.nextOut, s.nextIn
+	}
+	return 0, 0, false
+}
+
+// retire removes the edge with handle h from this copy's view. It touches
+// no aggregates.
+func (g *Graph) retire(h int32) {
+	if h < 0 {
+		g.ov[-h-1].w = 0
+		return
+	}
+	g.reserveGone()
+	g.gone[h] = true
+	g.debt++
+}
+
+// reserveGone materializes the retired-slot flags of the base, so parallel
+// workers can then retire distinct slots without allocating.
+func (g *Graph) reserveGone() {
+	if len(g.gone) == 0 && g.base != nil {
+		g.gone = resize(g.gone, len(g.base.outDst))
+	}
+}
+
+// link appends the overlay record (u, v, w) and threads it into u's out-list
+// and v's in-list. It touches no aggregates.
+func (g *Graph) link(u, v NodeID, w float64) {
+	k := int32(len(g.ov)) + 1
+	g.ov = append(g.ov, ovEdge{from: u, to: v, w: w, nextOut: g.st[u].ovOut, nextIn: g.st[v].ovIn})
+	g.st[u].ovOut = k
+	g.st[v].ovIn = k
+	g.debt++
+}
+
+// setEdge inserts the new edge (u, v) with label w.
+func (g *Graph) setEdge(u, v NodeID, w float64) {
+	g.link(u, v, w)
+	g.st[u].outDeg++
+	g.st[v].inDeg++
+	g.accountOut(u, 0, w)
+	g.accountIn(u, v, 0, w)
+	g.nEdges++
+}
+
+// relabel changes the label of the live edge h = (u, v) from old to nw. A
+// base edge is retired and re-added as an overlay record.
+func (g *Graph) relabel(h int32, u, v NodeID, old, nw float64) {
+	if nw == old {
+		return
+	}
+	if h < 0 {
+		g.ov[-h-1].w = nw
+	} else {
+		g.retire(h)
+		g.link(u, v, nw)
+	}
+	g.accountOut(u, old, nw)
+	g.accountIn(u, v, old, nw)
+}
+
+// mergeInto adds w to the label of edge (u, v), inserting the edge if it is
+// missing; the merged label is clamped to 1. It reports whether the edge was
+// created.
+func (g *Graph) mergeInto(u, v NodeID, w float64) bool {
+	if h, old, ok := g.find(u, v); ok {
+		g.relabel(h, u, v, old, clampLabel(old+w))
+		return false
+	}
+	g.setEdge(u, v, w)
+	return true
+}
+
+// maybeCompact folds the overlay into a new base once it outweighs the
+// base by the fixed ratio.
+func (g *Graph) maybeCompact() {
+	if g.debt >= compactMin && g.debt >= g.base.numEdges()/compactDiv {
+		g.compact()
+	}
+}
+
+// compact rebuilds the base from the live edges and empties the overlay.
+// The aggregates are unchanged: the edge set is the same.
+func (g *Graph) compact() {
+	g.base = g.edgeBase()
+	g.gone = g.gone[:0]
+	g.ov = g.ov[:0]
+	for i := range g.st {
+		g.st[i].ovOut, g.st[i].ovIn = 0, 0
+	}
+	g.debt = 0
 }
 
 // Cap returns the id-space size of the graph: all node ids are < Cap.
@@ -171,16 +343,8 @@ func (g *Graph) Alive(v NodeID) bool {
 // AddNode appends one live node and returns its id.
 func (g *Graph) AddNode() NodeID {
 	id := NodeID(len(g.alive))
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	g.alive = append(g.alive, true)
-	g.inSum = append(g.inSum, 0)
-	g.inBig = append(g.inBig, 0)
-	g.bigIn = append(g.bigIn, None)
-	g.outBig = append(g.outBig, 0)
-	if g.tags != nil {
-		g.tags = append(g.tags, g.tag) // a brand-new node's maps are unshared
-	}
+	g.st = append(g.st, nodeState{})
 	g.nAlive++
 	return id
 }
@@ -196,19 +360,11 @@ func (g *Graph) AddNodes(n int) NodeID {
 
 // Revive marks id as live, extending the id space if necessary. It is used
 // when assembling a graph from serialized node lists that preserve global
-// ids.
+// ids. A revived node has no edges: removal retired all of them.
 func (g *Graph) Revive(v NodeID) {
 	for int(v) >= len(g.alive) {
-		g.out = append(g.out, nil)
-		g.in = append(g.in, nil)
 		g.alive = append(g.alive, false)
-		g.inSum = append(g.inSum, 0)
-		g.inBig = append(g.inBig, 0)
-		g.bigIn = append(g.bigIn, None)
-		g.outBig = append(g.outBig, 0)
-		if g.tags != nil {
-			g.tags = append(g.tags, g.tag)
-		}
+		g.st = append(g.st, nodeState{})
 	}
 	if !g.alive[v] {
 		g.alive[v] = true
@@ -223,10 +379,11 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 	if err := g.checkEndpoints(u, v, w); err != nil {
 		return err
 	}
-	if _, dup := g.out[u][v]; dup {
+	if _, _, dup := g.find(u, v); dup {
 		return fmt.Errorf("graph: parallel edge (%d,%d)", u, v)
 	}
 	g.setEdge(u, v, w)
+	g.maybeCompact()
 	return nil
 }
 
@@ -237,20 +394,8 @@ func (g *Graph) MergeEdge(u, v NodeID, w float64) error {
 	if err := g.checkEndpoints(u, v, w); err != nil {
 		return err
 	}
-	if old, ok := g.out[u][v]; ok {
-		nw := old + w
-		if nw > 1 {
-			nw = 1
-		}
-		g.own(u)
-		g.own(v)
-		g.out[u][v] = nw
-		g.in[v][u] = nw
-		g.accountOut(u, old, nw)
-		g.accountIn(u, v, old, nw)
-		return nil
-	}
-	g.setEdge(u, v, w)
+	g.mergeInto(u, v, w)
+	g.maybeCompact()
 	return nil
 }
 
@@ -267,29 +412,13 @@ func (g *Graph) checkEndpoints(u, v NodeID, w float64) error {
 	return nil
 }
 
-func (g *Graph) setEdge(u, v NodeID, w float64) {
-	g.own(u)
-	g.own(v)
-	if g.out[u] == nil {
-		g.out[u] = make(map[NodeID]float64)
-	}
-	if g.in[v] == nil {
-		g.in[v] = make(map[NodeID]float64)
-	}
-	g.out[u][v] = w
-	g.in[v][u] = w
-	g.accountOut(u, 0, w)
-	g.accountIn(u, v, 0, w)
-	g.nEdges++
-}
-
 // Label returns the ownership fraction of edge (u, v) and whether the edge
 // exists.
 func (g *Graph) Label(u, v NodeID) (float64, bool) {
-	if !g.Alive(u) {
+	if !g.Alive(u) || !g.Alive(v) {
 		return 0, false
 	}
-	w, ok := g.out[u][v]
+	_, w, ok := g.find(u, v)
 	return w, ok
 }
 
@@ -304,17 +433,17 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	if !g.Alive(u) || !g.Alive(v) {
 		return false
 	}
-	w, ok := g.out[u][v]
+	h, w, ok := g.find(u, v)
 	if !ok {
 		return false
 	}
-	g.own(u)
-	g.own(v)
-	delete(g.out[u], v)
-	delete(g.in[v], u)
+	g.retire(h)
+	g.st[u].outDeg--
+	g.st[v].inDeg--
 	g.accountOut(u, w, 0)
 	g.accountIn(u, v, w, 0)
 	g.nEdges--
+	g.maybeCompact()
 	return true
 }
 
@@ -324,24 +453,22 @@ func (g *Graph) RemoveNode(v NodeID) bool {
 	if !g.Alive(v) {
 		return false
 	}
-	g.own(v)
-	for u, w := range g.in[v] {
-		g.own(u)
-		delete(g.out[u], v)
-		g.accountOut(u, w, 0)
+	g.eachIn(v, func(h int32, p NodeID, w float64) {
+		g.retire(h)
+		g.st[p].outDeg--
+		g.accountOut(p, w, 0)
 		g.nEdges--
-	}
-	for u, w := range g.out[v] {
-		g.own(u)
-		delete(g.in[u], v)
+	})
+	g.eachOut(v, func(h int32, u NodeID, w float64) {
+		g.retire(h)
+		g.st[u].inDeg--
 		g.accountIn(v, u, w, 0)
 		g.nEdges--
-	}
-	g.in[v] = nil
-	g.out[v] = nil
+	})
 	g.alive[v] = false
+	g.st[v] = nodeState{}
 	g.nAlive--
-	g.resetAggregates(v)
+	g.maybeCompact()
 	return true
 }
 
@@ -350,7 +477,7 @@ func (g *Graph) OutDegree(v NodeID) int {
 	if !g.Alive(v) {
 		return 0
 	}
-	return len(g.out[v])
+	return int(g.st[v].outDeg)
 }
 
 // InDegree returns the number of incoming edges of v.
@@ -358,7 +485,7 @@ func (g *Graph) InDegree(v NodeID) int {
 	if !g.Alive(v) {
 		return 0
 	}
-	return len(g.in[v])
+	return int(g.st[v].inDeg)
 }
 
 // InSum returns the sum of the labels of the incoming edges of v. It is an
@@ -367,13 +494,13 @@ func (g *Graph) InSum(v NodeID) float64 {
 	if !g.Alive(v) {
 		return 0
 	}
-	return g.inSum[v]
+	return g.st[v].inSum
 }
 
 // HasControllingOut reports in O(1) whether v holds a controlling stake
 // (label exceeding the control threshold) in any successor.
 func (g *Graph) HasControllingOut(v NodeID) bool {
-	return g.Alive(v) && g.outBig[v] > 0
+	return g.Alive(v) && g.st[v].outBig > 0
 }
 
 // MaxInLabel returns the largest incoming label of v and the predecessor
@@ -383,11 +510,11 @@ func (g *Graph) MaxInLabel(v NodeID) (NodeID, float64) {
 		return None, 0
 	}
 	best, bw := None, 0.0
-	for u, w := range g.in[v] {
+	g.eachIn(v, func(_ int32, u NodeID, w float64) {
 		if w > bw || (w == bw && (best == None || u < best)) {
 			best, bw = u, w
 		}
-	}
+	})
 	return best, bw
 }
 
@@ -401,11 +528,11 @@ func (g *Graph) DirectController(v NodeID) NodeID {
 	if !g.Alive(v) {
 		return None
 	}
-	switch g.inBig[v] {
+	switch g.st[v].inBig {
 	case 0:
 		return None
 	case 1:
-		return g.bigIn[v]
+		return g.st[v].bigIn
 	}
 	u, w := g.MaxInLabel(v)
 	if u != None && ExceedsControl(w) {
@@ -415,14 +542,13 @@ func (g *Graph) DirectController(v NodeID) NodeID {
 }
 
 // EachOut calls fn for every outgoing edge (v, u) with label w.
-// fn must not mutate the graph; iteration order is unspecified.
+// fn must not mutate the graph. Base edges come in increasing target order,
+// followed by the edges added since the base was built.
 func (g *Graph) EachOut(v NodeID, fn func(u NodeID, w float64)) {
 	if !g.Alive(v) {
 		return
 	}
-	for u, w := range g.out[v] {
-		fn(u, w)
-	}
+	g.eachOut(v, func(_ int32, u NodeID, w float64) { fn(u, w) })
 }
 
 // EachIn calls fn for every incoming edge (u, v) with label w.
@@ -431,9 +557,7 @@ func (g *Graph) EachIn(v NodeID, fn func(u NodeID, w float64)) {
 	if !g.Alive(v) {
 		return
 	}
-	for u, w := range g.in[v] {
-		fn(u, w)
-	}
+	g.eachIn(v, func(_ int32, u NodeID, w float64) { fn(u, w) })
 }
 
 // EachNode calls fn for every live node.
@@ -457,10 +581,8 @@ func (g *Graph) Successors(v NodeID) []NodeID {
 	if !g.Alive(v) {
 		return nil
 	}
-	succ := make([]NodeID, 0, len(g.out[v]))
-	for u := range g.out[v] {
-		succ = append(succ, u)
-	}
+	succ := make([]NodeID, 0, g.st[v].outDeg)
+	g.EachOut(v, func(u NodeID, _ float64) { succ = append(succ, u) })
 	return succ
 }
 
@@ -469,137 +591,84 @@ func (g *Graph) Predecessors(v NodeID) []NodeID {
 	if !g.Alive(v) {
 		return nil
 	}
-	pred := make([]NodeID, 0, len(g.in[v]))
-	for u := range g.in[v] {
-		pred = append(pred, u)
-	}
+	pred := make([]NodeID, 0, g.st[v].inDeg)
+	g.EachIn(v, func(u NodeID, _ float64) { pred = append(pred, u) })
 	return pred
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		out:    make([]map[NodeID]float64, len(g.out)),
-		in:     make([]map[NodeID]float64, len(g.in)),
-		alive:  make([]bool, len(g.alive)),
-		nAlive: g.nAlive,
-		nEdges: g.nEdges,
-		inSum:  make([]float64, len(g.inSum)),
-		inBig:  make([]int32, len(g.inBig)),
-		bigIn:  make([]NodeID, len(g.bigIn)),
-		outBig: make([]int32, len(g.outBig)),
-	}
-	copy(c.alive, g.alive)
-	copy(c.inSum, g.inSum)
-	copy(c.inBig, g.inBig)
-	copy(c.bigIn, g.bigIn)
-	copy(c.outBig, g.outBig)
-	for i, m := range g.out {
-		c.out[i] = cloneMap(m)
-	}
-	for i, m := range g.in {
-		c.in[i] = cloneMap(m)
-	}
-	return c
-}
+// Clone returns an independent copy of the graph. The copy shares the
+// immutable base adjacency and copies only the per-node state and the
+// overlay, so its cost is O(Cap + overlay), independent of the edge count.
+func (g *Graph) Clone() *Graph { return g.CloneInto(new(Graph)) }
 
-func cloneMap(m map[NodeID]float64) map[NodeID]float64 {
-	if len(m) == 0 {
-		return nil
-	}
-	// maps.Clone copies the table wholesale in the runtime, far faster than
-	// insert-by-insert; Clone dominates the per-query cost of distributed
-	// live evaluations, which copy the whole partition before reducing it.
-	return maps.Clone(m)
-}
-
-// CloneInto deep-copies g into dst, reusing dst's backing slices and
-// per-node edge maps instead of allocating fresh ones. It returns the graph
-// actually written: dst, or a fresh Clone when dst is nil or g itself. A
-// pooled destination reaches steady state after one round trip — every map
-// table it needs already exists — so repeated clones of same-shaped graphs
-// stop allocating entirely.
+// CloneInto copies g into dst, reusing dst's per-node and overlay buffers,
+// and returns the graph written: dst, or a fresh graph when dst is nil or g
+// itself. A pooled destination stops allocating once its buffers have
+// grown to g's size, whatever was done to it in between.
 func (g *Graph) CloneInto(dst *Graph) *Graph {
 	if dst == nil || dst == g {
-		return g.Clone()
+		dst = new(Graph)
 	}
-	dst.detach() // a recycled snapshot participant must not clear shared maps
-	dst.sizeTo(len(g.alive))
-	copy(dst.alive, g.alive)
-	copy(dst.inSum, g.inSum)
-	copy(dst.inBig, g.inBig)
-	copy(dst.bigIn, g.bigIn)
-	copy(dst.outBig, g.outBig)
-	dst.nAlive = g.nAlive
-	dst.nEdges = g.nEdges
-	for i := range g.out {
-		dst.out[i] = copyMapInto(dst.out[i], g.out[i])
-		dst.in[i] = copyMapInto(dst.in[i], g.in[i])
-	}
-	return dst
-}
-
-// copyMapInto makes dst hold exactly src's entries, reusing dst's table when
-// one exists. An empty source clears dst but keeps its table, so a reused
-// graph's maps survive round trips through sparser clones.
-func copyMapInto(dst, src map[NodeID]float64) map[NodeID]float64 {
-	if len(src) == 0 {
-		clear(dst)
-		return dst
-	}
-	if dst == nil {
-		return maps.Clone(src)
-	}
-	clear(dst)
-	for k, v := range src {
-		dst[k] = v
-	}
+	g.base.share()
+	dst.base = g.base
+	dst.alive = append(dst.alive[:0], g.alive...)
+	dst.st = append(dst.st[:0], g.st...)
+	dst.gone = append(dst.gone[:0], g.gone...)
+	dst.ov = append(dst.ov[:0], g.ov...)
+	dst.nAlive, dst.nEdges, dst.debt = g.nAlive, g.nEdges, g.debt
 	return dst
 }
 
 // Reset empties the graph — every node dead, no edges, aggregates zeroed —
-// while keeping its id-space length and the allocated per-node edge maps, so
-// a pooled scratch graph can be rebuilt without allocating.
+// while keeping its id-space length and its buffers, so a pooled scratch
+// graph can be rebuilt without allocating.
 func (g *Graph) Reset() {
-	g.detach() // shared maps are dropped, not cleared in place
-	for i := range g.alive {
-		clear(g.out[i])
-		clear(g.in[i])
+	if g.base.owned() {
+		g.base.truncate()
+	} else {
+		g.base = nil
+	}
+	for i, ok := range g.alive {
+		if ok {
+			// Dead nodes' state is already zero.
+			g.st[i] = nodeState{}
+		}
 	}
 	clear(g.alive)
-	clear(g.inSum)
-	clear(g.inBig)
-	clear(g.outBig)
-	for i := range g.bigIn {
-		g.bigIn[i] = None
-	}
-	g.nAlive, g.nEdges = 0, 0
+	g.gone = g.gone[:0]
+	g.ov = g.ov[:0]
+	g.nAlive, g.nEdges, g.debt = 0, 0, 0
 }
 
-// sizeTo resizes the parallel per-node slices to n entries, reusing backing
-// arrays (and any edge maps they still hold) when capacity allows. Entries
-// revealed by regrowth carry stale values; every caller overwrites the full
-// index range afterwards (CloneInto by copying, DecodeBinaryInto via Reset).
+// sizeTo resizes the per-node slices to n entries, reusing backing arrays
+// when capacity allows; ids it adds are dead and bare.
 func (g *Graph) sizeTo(n int) {
-	g.out = resize(g.out, n)
-	g.in = resize(g.in, n)
 	g.alive = resize(g.alive, n)
-	g.inSum = resize(g.inSum, n)
-	g.inBig = resize(g.inBig, n)
-	g.bigIn = resize(g.bigIn, n)
-	g.outBig = resize(g.outBig, n)
-	if g.tags != nil {
-		g.tags = resize(g.tags, n)
-	}
+	g.st = resize(g.st, n)
 }
 
+// resize returns s with length n, reusing its array when capacity allows.
+// Entries past the old length are zero, never stale values of an earlier,
+// longer use.
 func resize[E any](s []E, n int) []E {
 	if cap(s) >= n {
-		return s[:n]
+		old := len(s)
+		s = s[:n]
+		if n > old {
+			clear(s[old:])
+		}
+		return s
 	}
 	ns := make([]E, n)
 	copy(ns, s)
 	return ns
+}
+
+func clampLabel(w float64) float64 {
+	if w > 1 {
+		return 1
+	}
+	return w
 }
 
 // CheckOwnership verifies the ownership-graph invariant: for every node the
@@ -607,15 +676,13 @@ func resize[E any](s []E, n int) []E {
 // first violating node, or None. The sum is recomputed from the adjacency
 // rather than read from the cache, since this is a validation pass.
 func (g *Graph) CheckOwnership() (NodeID, error) {
-	for i := range g.alive {
-		v := NodeID(i)
-		if !g.alive[i] {
+	for i, ok := range g.alive {
+		if !ok {
 			continue
 		}
+		v := NodeID(i)
 		var s float64
-		for _, w := range g.in[v] {
-			s += w
-		}
+		g.eachIn(v, func(_ int32, _ NodeID, w float64) { s += w })
 		if s > 1+sumSlack {
 			return v, fmt.Errorf("graph: node %d is owned %g > 1", v, s)
 		}

@@ -2,12 +2,13 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -23,31 +24,48 @@ type Edge struct {
 // (From, To)) so that serialized forms are reproducible.
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.nEdges)
-	for i, m := range g.out {
-		if !g.alive[i] {
+	for i, ok := range g.alive {
+		if !ok {
 			continue
 		}
-		for v, w := range m {
-			es = append(es, Edge{NodeID(i), v, w})
+		v := NodeID(i)
+		start := len(es)
+		g.eachOut(v, func(_ int32, u NodeID, w float64) { es = append(es, Edge{v, u, w}) })
+		if g.st[v].ovOut != 0 {
+			// Base rows are sorted already; overlay records are not.
+			slices.SortFunc(es[start:], func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
-		}
-		return es[i].To < es[j].To
-	})
 	return es
 }
 
 // FromEdges builds a graph over ids 0..n-1 from an edge list, merging
-// parallel edges by summing labels.
+// parallel edges by summing labels in list order, as repeated MergeEdge
+// calls would. The graph is built in bulk.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	g := New(n)
 	for _, e := range edges {
-		if err := g.MergeEdge(e.From, e.To, e.Weight); err != nil {
+		if err := g.checkEndpoints(e.From, e.To, e.Weight); err != nil {
 			return nil, err
 		}
+	}
+	es := slices.Clone(edges)
+	slices.SortStableFunc(es, func(a, b Edge) int {
+		if a.From != b.From {
+			return cmp.Compare(a.From, b.From)
+		}
+		return cmp.Compare(a.To, b.To)
+	})
+	merged := es[:0]
+	for _, e := range es {
+		if k := len(merged) - 1; k >= 0 && merged[k].From == e.From && merged[k].To == e.To {
+			merged[k].Weight = clampLabel(merged[k].Weight + e.Weight)
+			continue
+		}
+		merged = append(merged, e)
+	}
+	if err := g.load(len(merged), func(i int) Edge { return merged[i] }); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -122,8 +140,10 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	return DecodeBinaryInto(nil, data)
 }
 
-// DecodeBinaryInto parses a CCPG1 payload into dst, reusing dst's slices and
-// edge maps; a nil dst allocates a fresh graph. It ignores trailing bytes.
+// DecodeBinaryInto parses a CCPG1 payload into dst, reusing dst's buffers
+// (and its base adjacency, when no copy shares it); a nil dst allocates a
+// fresh graph. It ignores trailing bytes. The edges are built in bulk into
+// the base, not inserted one by one.
 // The declared id capacity sizes every per-node array before any id is read,
 // and a valid payload may declare far more ids than it carries (a reduced
 // partial keeps the global id space but few live nodes), so the decoder
@@ -183,23 +203,21 @@ func DecodeBinaryInto(dst *Graph, data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < nEdges; i++ {
-		from, err := u32()
-		if err != nil {
-			return nil, err
+	const edgeBytes = 16 // from, to, weight
+	if uint64(len(data)-off) < uint64(nEdges)*edgeBytes {
+		return nil, io.ErrUnexpectedEOF
+	}
+	edges := data[off:]
+	at := func(i int) Edge {
+		rec := edges[i*edgeBytes:]
+		return Edge{
+			From:   NodeID(binary.LittleEndian.Uint32(rec)),
+			To:     NodeID(binary.LittleEndian.Uint32(rec[4:])),
+			Weight: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
 		}
-		to, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		if off+8 > len(data) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		w := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		if err := g.AddEdge(NodeID(from), NodeID(to), w); err != nil {
-			return nil, err
-		}
+	}
+	if err := g.load(int(nEdges), at); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -215,7 +233,7 @@ func (g *Graph) WriteCSV(w io.Writer) error {
 		}
 	}
 	for i, ok := range g.alive {
-		if ok && len(g.out[i]) == 0 && len(g.in[i]) == 0 {
+		if ok && g.st[i].outDeg == 0 && g.st[i].inDeg == 0 {
 			if _, err := fmt.Fprintf(bw, "%d,,\n", i); err != nil {
 				return err
 			}
@@ -274,16 +292,13 @@ func ReadCSV(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	g := New(int(maxID) + 1)
+	var edges []Edge
 	for _, r := range recs {
-		if r.isolated {
-			continue
-		}
-		if err := g.MergeEdge(r.from, r.to, r.w); err != nil {
-			return nil, err
+		if !r.isolated {
+			edges = append(edges, Edge{r.from, r.to, r.w})
 		}
 	}
-	return g, nil
+	return FromEdges(int(maxID)+1, edges)
 }
 
 // Equal reports whether g and h have the same live nodes and the same edges
@@ -300,14 +315,18 @@ func Equal(g, h *Graph, eps float64) bool {
 		if !ok {
 			continue
 		}
-		if len(g.out[i]) != h.OutDegree(v) {
+		if g.OutDegree(v) != h.OutDegree(v) {
 			return false
 		}
-		for u, w := range g.out[i] {
+		same := true
+		g.eachOut(v, func(_ int32, u NodeID, w float64) {
 			hw, okh := h.Label(v, u)
 			if !okh || math.Abs(hw-w) > eps {
-				return false
+				same = false
 			}
+		})
+		if !same {
+			return false
 		}
 	}
 	return true

@@ -18,6 +18,11 @@ func randomGraph(rng *rand.Rand, n, m int) *Graph {
 		budget[i] = 1
 	}
 	for i := 0; i < m; i++ {
+		if i == m/2 {
+			// The first half of the edges lands in a bulk-built base, the
+			// rest in the overlay, so every test covers both.
+			g.compact()
+		}
 		u := NodeID(rng.Intn(n))
 		v := NodeID(rng.Intn(n))
 		if u == v {

@@ -12,17 +12,18 @@ const ControlEps = 1e-9
 // than half, with rounding slack.
 func ExceedsControl(x float64) bool { return x > ControlThreshold+ControlEps }
 
-// mutKind tags a sharded adjacency mutation.
+// mutKind tags a mutation emitted by the collect step of a batch round.
 type mutKind uint8
 
 const (
-	delOut mutKind = iota // delete out[Owner][Other]
-	delIn                 // delete in[Owner][Other]
-	addOut                // out[Owner][Other] += W (edge-count +1 if new)
-	addIn                 // in[Owner][Other]  += W
+	delOut   mutKind = iota // edge (Owner, Other) with label W left Owner's out-adjacency
+	delIn                   // edge (Other, Owner) with label W left Owner's in-adjacency
+	transfer                // R3: add W to the label of edge (Owner, Other), inserting it if missing
 )
 
-// mutation is one adjacency-map update routed to the shard owning Owner.
+// mutation is one update emitted by a batch round. Deletions are routed to
+// the shard owning Owner; transfers all go to one extra shard, which keeps
+// them in emission order.
 type mutation struct {
 	Owner, Other NodeID
 	W            float64
@@ -32,63 +33,34 @@ type mutation struct {
 // shardOf routes node ids to shards.
 func shardOf(v NodeID, shards int) int { return int(v) % shards }
 
-// applyMutations executes sharded mutations; each shard's maps and cached
-// aggregates are touched by exactly one goroutine (every write is indexed by
-// the mutation's Owner, and owners are routed to shards by id). It returns
-// the net edge-count delta (counted on the out side only, since every edge
-// lives in one out map and one in map) plus the per-shard touched sets: the
-// owners of applied mutations, i.e. the surviving nodes whose adjacency —
-// and therefore possibly class — changed. Touched lists may contain
-// duplicates (consecutive ones are folded); callers dedup with a bitset.
-func (g *Graph) applyMutations(m *par.Meter, ops par.Buckets[mutation]) (int, [][]NodeID) {
+// applyDeletes folds sharded deletions into the owners' degrees and cached
+// aggregates; each shard's owners are written by exactly one goroutine. The
+// edges themselves are already retired (killList), so a controlling-stake
+// rescan sees the post-round adjacency. It returns the net edge-count delta
+// (counted on the out side, since every edge has one source) plus the
+// per-shard touched sets: the surviving owners whose adjacency — and
+// therefore possibly class — changed. Touched lists may contain duplicates
+// (consecutive ones are folded); callers dedup with a bitset.
+func (g *Graph) applyDeletes(m *par.Meter, ops par.Buckets[mutation]) (int, [][]NodeID) {
 	deltas := make([]int, ops.Shards())
 	touched := make([][]NodeID, ops.Shards())
 	par.MeteredRunSharded(m, ops, func(s int, items []mutation) {
 		d := 0
 		t := make([]NodeID, 0, len(items))
 		last := None
-		note := func(v NodeID) {
-			if v != last {
-				t = append(t, v)
-				last = v
-			}
-		}
 		for _, mu := range items {
-			switch mu.Kind {
-			case delOut:
-				if w, ok := g.out[mu.Owner][mu.Other]; ok {
-					delete(g.out[mu.Owner], mu.Other)
-					g.accountOut(mu.Owner, w, 0)
-					d--
-					note(mu.Owner)
-				}
-			case delIn:
-				if w, ok := g.in[mu.Owner][mu.Other]; ok {
-					delete(g.in[mu.Owner], mu.Other)
-					g.accountIn(mu.Other, mu.Owner, w, 0)
-					note(mu.Owner)
-				}
-			case addOut:
-				old, ok := g.out[mu.Owner][mu.Other]
-				if !ok {
-					d++
-					if g.out[mu.Owner] == nil {
-						g.out[mu.Owner] = make(map[NodeID]float64)
-					}
-				}
-				nw := clampLabel(old + mu.W)
-				g.out[mu.Owner][mu.Other] = nw
-				g.accountOut(mu.Owner, old, nw)
-				note(mu.Owner)
-			case addIn:
-				old := g.in[mu.Owner][mu.Other]
-				if g.in[mu.Owner] == nil {
-					g.in[mu.Owner] = make(map[NodeID]float64)
-				}
-				nw := clampLabel(old + mu.W)
-				g.in[mu.Owner][mu.Other] = nw
-				g.accountIn(mu.Other, mu.Owner, old, nw)
-				note(mu.Owner)
+			st := &g.st[mu.Owner]
+			if mu.Kind == delOut {
+				st.outDeg--
+				g.accountOut(mu.Owner, mu.W, 0)
+				d--
+			} else {
+				st.inDeg--
+				g.accountIn(mu.Other, mu.Owner, mu.W, 0)
+			}
+			if mu.Owner != last {
+				t = append(t, mu.Owner)
+				last = mu.Owner
 			}
 		}
 		deltas[s] = d
@@ -101,66 +73,59 @@ func (g *Graph) applyMutations(m *par.Meter, ops par.Buckets[mutation]) (int, []
 	return total, touched
 }
 
-func clampLabel(w float64) float64 {
-	if w > 1 {
-		return 1
+// applyTransfers applies R3 label transfers one by one in emission order,
+// so that every merged label sums its contributions in the same order as
+// the single-worker path. It returns the touched nodes.
+func (g *Graph) applyTransfers(items []mutation) []NodeID {
+	t := make([]NodeID, 0, 2*len(items))
+	for _, mu := range items {
+		g.mergeInto(mu.Owner, mu.Other, mu.W)
+		t = append(t, mu.Owner, mu.Other)
 	}
-	return w
+	return t
 }
 
-// killMarked clears the adjacency of every node with dead[v], marks it not
-// alive, and returns (nodesRemoved, outEdgesCleared). Runs in parallel
-// blocks; each block only writes state of its own ids.
-func (g *Graph) killMarked(m *par.Meter, dead []bool, workers int) (int, int) {
+// killList retires every edge of the listed live nodes, marks them dead
+// and clears their state, in parallel blocks of the list. It returns
+// (nodesRemoved, outEdgesCleared). Each edge has exactly one writer: a
+// victim retires all its out-edges and those in-edges whose source is not
+// a victim, and reads nothing another block writes. Duplicate ids in the
+// list are not allowed.
+func (g *Graph) killList(m *par.Meter, victims []NodeID, isVictim func(NodeID) bool, workers int) (int, int) {
 	type delta struct{ nodes, edges int }
-	n := len(g.alive)
-	blocks := make([]delta, par.Blocks(n, workers))
-	par.MeteredForBlocks(m, n, workers, func(b, lo, hi int) {
-		var d delta
-		for i := lo; i < hi; i++ {
-			if !dead[i] || !g.alive[i] {
-				continue
-			}
-			d.nodes++
-			d.edges += len(g.out[i])
-			g.out[i] = nil
-			g.in[i] = nil
-			g.alive[i] = false
-			g.resetAggregates(NodeID(i))
-		}
-		blocks[b] = d
-	})
-	var nodes, edges int
-	for _, d := range blocks {
-		nodes += d.nodes
-		edges += d.edges
-	}
-	return nodes, edges
-}
-
-// killList is killMarked driven by an explicit victim list instead of a
-// full-capacity mark array: only the listed nodes are visited. Each block of
-// the victim list writes only the state of its own victims, so duplicate ids
-// in the list are not allowed.
-func (g *Graph) killList(m *par.Meter, victims []NodeID, workers int) (int, int) {
-	type delta struct{ nodes, edges int }
+	g.reserveGone()
 	n := len(victims)
 	blocks := make([]delta, par.Blocks(n, workers))
-	par.MeteredForBlocks(m, n, workers, func(b, lo, hi int) {
+	par.MeteredForBlocks(m, n, workers, func(blk, lo, hi int) {
 		var d delta
-		for i := lo; i < hi; i++ {
-			v := victims[i]
+		for _, v := range victims[lo:hi] {
 			if !g.alive[v] {
 				continue
 			}
 			d.nodes++
-			d.edges += len(g.out[v])
-			g.out[v] = nil
-			g.in[v] = nil
+			d.edges += int(g.st[v].outDeg)
+			if b := g.base; b.has(v) {
+				for e := b.outOff[v]; e < b.outOff[v+1]; e++ {
+					g.gone[e] = true
+				}
+				for j := b.inOff[v]; j < b.inOff[v+1]; j++ {
+					if !isVictim(b.inSrc[j]) {
+						g.gone[b.inEdge[j]] = true
+					}
+				}
+			}
+			for k := g.st[v].ovOut; k != 0; k = g.ov[k-1].nextOut {
+				g.ov[k-1].w = 0
+			}
+			for k := g.st[v].ovIn; k != 0; k = g.ov[k-1].nextIn {
+				if !isVictim(g.ov[k-1].from) {
+					g.ov[k-1].w = 0
+				}
+			}
 			g.alive[v] = false
-			g.resetAggregates(v)
+			g.st[v] = nodeState{}
 		}
-		blocks[b] = d
+		blocks[blk] = d
 	})
 	var nodes, edges int
 	for _, d := range blocks {
@@ -168,6 +133,24 @@ func (g *Graph) killList(m *par.Meter, victims []NodeID, workers int) (int, int)
 		edges += d.edges
 	}
 	return nodes, edges
+}
+
+// killSerial marks the listed live nodes dead, clears their state and
+// drops their out-edges from the edge count; their edges must already be
+// retired. It returns the number of nodes removed.
+func (g *Graph) killSerial(victims []NodeID) int {
+	nodes := 0
+	for _, v := range victims {
+		if !g.alive[v] {
+			continue
+		}
+		nodes++
+		g.nEdges -= int(g.st[v].outDeg)
+		g.alive[v] = false
+		g.st[v] = nodeState{}
+	}
+	g.nAlive -= nodes
+	return nodes
 }
 
 // ParallelRemove removes every node v with dead[v] set, together with all its
@@ -179,32 +162,16 @@ func (g *Graph) ParallelRemove(dead []bool, workers int) int {
 }
 
 // ParallelRemoveMetered is ParallelRemove with its parallel steps recorded
-// into m (which may be nil).
+// into m (which may be nil). It scans the mark array for the victims and
+// runs RemoveBatchMetered on them.
 func (g *Graph) ParallelRemoveMetered(m *par.Meter, dead []bool, workers int) int {
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
+	var victims []NodeID
+	for i, d := range dead {
+		if d && g.alive[i] {
+			victims = append(victims, NodeID(i))
+		}
 	}
-	n := len(g.alive)
-	ops := par.MeteredCollect(m, n, workers, func(i int, emit func(int, mutation)) {
-		v := NodeID(i)
-		if !dead[i] || !g.alive[i] {
-			return
-		}
-		for p := range g.in[v] {
-			if !dead[p] {
-				emit(shardOf(p, workers), mutation{Owner: p, Other: v, Kind: delOut})
-			}
-		}
-		for u := range g.out[v] {
-			if !dead[u] {
-				emit(shardOf(u, workers), mutation{Owner: u, Other: v, Kind: delIn})
-			}
-		}
-	})
-	edgeDelta, _ := g.applyMutations(m, ops)
-	nodes, cleared := g.killMarked(m, dead, workers)
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
+	nodes, _ := g.RemoveBatchMetered(m, victims, dead, workers, nil)
 	return nodes
 }
 
@@ -229,104 +196,35 @@ func (sc *BatchScratch) touchedSet(t []NodeID) [][]NodeID {
 // RemoveBatchMetered removes exactly the listed nodes together with all
 // their incident edges — the frontier-engine form of ParallelRemove, whose
 // per-round cost is proportional to the victims and their edges rather than
-// the whole id space. victims must be duplicate-free and sorted ascending
-// (ascending order keeps the per-shard mutation streams identical to the
-// full-scan path, so label merges round identically); isVictim must have
-// length Cap with isVictim[v] set exactly for the victims. It returns the
-// number of nodes removed and the per-shard touched sets (surviving
-// neighbors whose adjacency changed). sc may be nil.
+// the whole id space. victims must be duplicate-free and sorted ascending;
+// isVictim must have length Cap with isVictim[v] set exactly for the
+// victims. It returns the number of nodes removed and the per-shard touched
+// sets (surviving neighbors whose adjacency changed). sc may be nil.
 func (g *Graph) RemoveBatchMetered(m *par.Meter, victims []NodeID, isVictim []bool, workers int, sc *BatchScratch) (int, [][]NodeID) {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
 	}
 	if m == nil && workers == 1 {
-		// Single worker, nothing to meter: apply the deletions inline in
-		// emission order. The sequence of map writes and aggregate updates is
-		// exactly the one the 1-shard collect path would produce (victims'
-		// own maps are never written during a round, so inline application
-		// cannot change what later victims emit), without the goroutine and
-		// bucket machinery.
 		return g.removeBatchSerial(victims, isVictim, sc)
-	}
-	if 2*len(victims) >= g.nAlive {
-		// Mass-removal round: most live nodes die. The per-victim emission
-		// below pays a map-iterator setup for every victim only to discover
-		// that most neighbors are victims too; scanning the few survivors'
-		// maps directly is proportional to what actually remains.
-		return g.removeBatchScan(m, victims, isVictim, workers)
 	}
 	ops := par.MeteredCollect(m, len(victims), workers, func(i int, emit func(int, mutation)) {
 		v := victims[i]
-		if !g.Alive(v) {
+		if !g.alive[v] {
 			return
 		}
-		for p := range g.in[v] {
+		g.eachIn(v, func(_ int32, p NodeID, w float64) {
 			if !isVictim[p] {
-				emit(shardOf(p, workers), mutation{Owner: p, Other: v, Kind: delOut})
+				emit(shardOf(p, workers), mutation{Owner: p, Other: v, W: w, Kind: delOut})
 			}
-		}
-		for u := range g.out[v] {
+		})
+		g.eachOut(v, func(_ int32, u NodeID, w float64) {
 			if !isVictim[u] {
-				emit(shardOf(u, workers), mutation{Owner: u, Other: v, Kind: delIn})
+				emit(shardOf(u, workers), mutation{Owner: u, Other: v, W: w, Kind: delIn})
 			}
-		}
+		})
 	})
-	edgeDelta, touched := g.applyMutations(m, ops)
-	nodes, cleared := g.killList(m, victims, workers)
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
-	return nodes, touched
-}
-
-// removeBatchScan is the mass-removal path of RemoveBatchMetered: instead of
-// emitting per-victim mutations it walks every surviving node's adjacency in
-// parallel id blocks and deletes victim entries in place. Each block writes
-// only maps and aggregates indexed by its own ids (the victims' maps are
-// untouched here and cleared afterwards by killList), so the pass is
-// race-free without sharded routing. Deletion order within a map follows map
-// iteration, so cached in-sums may differ from the emission path in the last
-// bits — well inside ControlEps.
-func (g *Graph) removeBatchScan(m *par.Meter, victims []NodeID, isVictim []bool, workers int) (int, [][]NodeID) {
-	n := len(g.alive)
-	nb := par.Blocks(n, workers)
-	deltas := make([]int, nb)
-	touched := make([][]NodeID, nb)
-	par.MeteredForBlocks(m, n, workers, func(b, lo, hi int) {
-		d := 0
-		var t []NodeID
-		for i := lo; i < hi; i++ {
-			if !g.alive[i] || isVictim[i] {
-				continue
-			}
-			u := NodeID(i)
-			hit := false
-			for v, w := range g.out[u] {
-				if isVictim[v] {
-					delete(g.out[u], v)
-					g.accountOut(u, w, 0)
-					d--
-					hit = true
-				}
-			}
-			for p, w := range g.in[u] {
-				if isVictim[p] {
-					delete(g.in[u], p)
-					g.accountIn(p, u, w, 0)
-					hit = true
-				}
-			}
-			if hit {
-				t = append(t, u)
-			}
-		}
-		deltas[b] = d
-		touched[b] = t
-	})
-	edgeDelta := 0
-	for _, d := range deltas {
-		edgeDelta += d
-	}
-	nodes, cleared := g.killList(m, victims, workers)
+	nodes, cleared := g.killList(m, victims, func(v NodeID) bool { return isVictim[v] }, workers)
+	edgeDelta, touched := g.applyDeletes(m, ops)
 	g.nAlive -= nodes
 	g.nEdges += edgeDelta - cleared
 	return nodes, touched
@@ -334,7 +232,10 @@ func (g *Graph) removeBatchScan(m *par.Meter, victims []NodeID, isVictim []bool,
 
 // removeBatchSerial is the single-worker path of RemoveBatchMetered: the
 // same deletions and aggregate updates, applied inline in emission order
-// with no sharding machinery and no allocations beyond the scratch.
+// with no sharding machinery and no allocations beyond the scratch. Each
+// edge is retired exactly once: a victim's out-edges from its own row, its
+// in-edges from surviving sources from its in-row, the rest from the
+// source victim's out-row.
 func (g *Graph) removeBatchSerial(victims []NodeID, isVictim []bool, sc *BatchScratch) (int, [][]NodeID) {
 	if sc == nil {
 		sc = &BatchScratch{}
@@ -347,70 +248,31 @@ func (g *Graph) removeBatchSerial(victims []NodeID, isVictim []bool, sc *BatchSc
 			last = v
 		}
 	}
-	edgeDelta := 0
-	if 2*len(victims) >= g.nAlive {
-		// Mass removal: scan the few survivors instead (see removeBatchScan).
-		for i := range g.alive {
-			if !g.alive[i] || isVictim[i] {
-				continue
-			}
-			u := NodeID(i)
-			hit := false
-			for v, w := range g.out[u] {
-				if isVictim[v] {
-					delete(g.out[u], v)
-					g.accountOut(u, w, 0)
-					edgeDelta--
-					hit = true
-				}
-			}
-			for p, w := range g.in[u] {
-				if isVictim[p] {
-					delete(g.in[u], p)
-					g.accountIn(p, u, w, 0)
-					hit = true
-				}
-			}
-			if hit {
-				t = append(t, u)
-			}
-		}
-	} else {
-		for _, v := range victims {
-			if !g.Alive(v) {
-				continue
-			}
-			for p, w := range g.in[v] {
-				if !isVictim[p] {
-					delete(g.out[p], v)
-					g.accountOut(p, w, 0)
-					edgeDelta--
-					note(p)
-				}
-			}
-			for u, w := range g.out[v] {
-				if !isVictim[u] {
-					delete(g.in[u], v)
-					g.accountIn(v, u, w, 0)
-					note(u)
-				}
-			}
-		}
-	}
-	nodes, cleared := 0, 0
 	for _, v := range victims {
-		if !g.Alive(v) {
+		if !g.alive[v] {
 			continue
 		}
-		nodes++
-		cleared += len(g.out[v])
-		g.out[v] = nil
-		g.in[v] = nil
-		g.alive[v] = false
-		g.resetAggregates(v)
+		g.eachIn(v, func(h int32, p NodeID, w float64) {
+			if isVictim[p] {
+				return
+			}
+			g.retire(h)
+			g.st[p].outDeg--
+			g.accountOut(p, w, 0)
+			g.nEdges--
+			note(p)
+		})
+		g.eachOut(v, func(h int32, u NodeID, w float64) {
+			g.retire(h)
+			if isVictim[u] {
+				return
+			}
+			g.st[u].inDeg--
+			g.accountIn(v, u, w, 0)
+			note(u)
+		})
 	}
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
+	nodes := g.killSerial(victims)
 	return nodes, sc.touchedSet(t)
 }
 
@@ -428,48 +290,16 @@ func (g *Graph) ParallelContract(rep []NodeID, workers int) int {
 }
 
 // ParallelContractMetered is ParallelContract with its parallel steps
-// recorded into m (which may be nil).
+// recorded into m (which may be nil). It scans rep for the victims and runs
+// ContractBatchMetered on them.
 func (g *Graph) ParallelContractMetered(m *par.Meter, rep []NodeID, workers int) int {
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
+	var victims []NodeID
+	for i, r := range rep {
+		if r != None && r != NodeID(i) && g.alive[i] {
+			victims = append(victims, NodeID(i))
+		}
 	}
-	contracted := func(v NodeID) bool {
-		r := rep[v]
-		return r != None && r != v
-	}
-	n := len(g.alive)
-	dead := make([]bool, n)
-	ops := par.MeteredCollect(m, n, workers, func(i int, emit func(int, mutation)) {
-		v := NodeID(i)
-		if !g.alive[i] || !contracted(v) {
-			return
-		}
-		dead[i] = true
-		r := rep[v]
-		for p := range g.in[v] {
-			if !contracted(p) {
-				emit(shardOf(p, workers), mutation{Owner: p, Other: v, Kind: delOut})
-			}
-		}
-		for u, w := range g.out[v] {
-			if contracted(u) {
-				// u dies this round; the edge vanishes with it.
-				continue
-			}
-			emit(shardOf(u, workers), mutation{Owner: u, Other: v, Kind: delIn})
-			if u == r {
-				// Transferring (v, r) to r would create a self loop; R3
-				// excludes it.
-				continue
-			}
-			emit(shardOf(r, workers), mutation{Owner: r, Other: u, W: w, Kind: addOut})
-			emit(shardOf(u, workers), mutation{Owner: u, Other: r, W: w, Kind: addIn})
-		}
-	})
-	edgeDelta, _ := g.applyMutations(m, ops)
-	nodes, cleared := g.killMarked(m, dead, workers)
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
+	nodes, _ := g.ContractBatchMetered(m, victims, rep, workers, nil)
 	return nodes
 }
 
@@ -481,6 +311,10 @@ func (g *Graph) ParallelContractMetered(m *par.Meter, rep []NodeID, workers int)
 // nodes contracted and the per-shard touched sets: surviving neighbors whose
 // edges were deleted, representatives that received transferred edges, and
 // transfer targets. sc may be nil.
+//
+// With several workers the collect and delete steps run sharded, and the
+// transfers — which insert edges — run on one goroutine in emission order,
+// so merged labels are bit-identical to the single-worker path.
 func (g *Graph) ContractBatchMetered(m *par.Meter, victims []NodeID, rep []NodeID, workers int, sc *BatchScratch) (int, [][]NodeID) {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
@@ -492,45 +326,44 @@ func (g *Graph) ContractBatchMetered(m *par.Meter, victims []NodeID, rep []NodeI
 		r := rep[v]
 		return r != None && r != v
 	}
-	ops := par.MeteredCollect(m, len(victims), workers, func(i int, emit func(int, mutation)) {
+	ops := par.MeteredCollect(m, len(victims), workers+1, func(i int, emit func(int, mutation)) {
 		v := victims[i]
-		if !g.Alive(v) || !contracted(v) {
+		if !g.alive[v] || !contracted(v) {
 			return
 		}
 		r := rep[v]
-		for p := range g.in[v] {
+		g.eachIn(v, func(_ int32, p NodeID, w float64) {
 			if !contracted(p) {
-				emit(shardOf(p, workers), mutation{Owner: p, Other: v, Kind: delOut})
+				emit(shardOf(p, workers), mutation{Owner: p, Other: v, W: w, Kind: delOut})
 			}
-		}
-		for u, w := range g.out[v] {
+		})
+		g.eachOut(v, func(_ int32, u NodeID, w float64) {
 			if contracted(u) {
 				// u dies this round; the edge vanishes with it.
-				continue
+				return
 			}
-			emit(shardOf(u, workers), mutation{Owner: u, Other: v, Kind: delIn})
-			if u == r {
+			emit(shardOf(u, workers), mutation{Owner: u, Other: v, W: w, Kind: delIn})
+			if u != r {
 				// Transferring (v, r) to r would create a self loop; R3
 				// excludes it.
-				continue
+				emit(workers, mutation{Owner: r, Other: u, W: w, Kind: transfer})
 			}
-			emit(shardOf(r, workers), mutation{Owner: r, Other: u, W: w, Kind: addOut})
-			emit(shardOf(u, workers), mutation{Owner: u, Other: r, W: w, Kind: addIn})
-		}
+		})
 	})
-	edgeDelta, touched := g.applyMutations(m, ops)
-	nodes, cleared := g.killList(m, victims, workers)
+	nodes, cleared := g.killList(m, victims, contracted, workers)
+	edgeDelta, touched := g.applyDeletes(m, ops[:workers])
 	g.nAlive -= nodes
 	g.nEdges += edgeDelta - cleared
+	touched = append(touched, g.applyTransfers(ops[workers]))
 	return nodes, touched
 }
 
 // contractBatchSerial is the single-worker path of ContractBatchMetered: the
 // same edge deletions, transfers and label merges, applied inline in
-// emission order. Inline application is sound for the same reason as in
-// removeBatchSerial — every write of a contraction round lands in a
-// survivor's maps, so the victims' adjacency read by later iterations is
-// exactly what the collect phase would have seen.
+// emission order. Inline application is sound because every write of a
+// contraction round lands in a survivor's adjacency, so the victims'
+// adjacency read by later iterations is exactly what the collect step
+// would have seen.
 func (g *Graph) contractBatchSerial(victims []NodeID, rep []NodeID, sc *BatchScratch) (int, [][]NodeID) {
 	if sc == nil {
 		sc = &BatchScratch{}
@@ -547,69 +380,40 @@ func (g *Graph) contractBatchSerial(victims []NodeID, rep []NodeID, sc *BatchScr
 			last = v
 		}
 	}
-	edgeDelta := 0
 	for _, v := range victims {
-		if !g.Alive(v) || !contracted(v) {
+		if !g.alive[v] || !contracted(v) {
 			continue
 		}
 		r := rep[v]
-		for p, w := range g.in[v] {
-			if !contracted(p) {
-				delete(g.out[p], v)
-				g.accountOut(p, w, 0)
-				edgeDelta--
-				note(p)
+		g.eachIn(v, func(h int32, p NodeID, w float64) {
+			if contracted(p) {
+				return
 			}
-		}
-		for u, w := range g.out[v] {
+			g.retire(h)
+			g.st[p].outDeg--
+			g.accountOut(p, w, 0)
+			g.nEdges--
+			note(p)
+		})
+		g.eachOut(v, func(h int32, u NodeID, w float64) {
+			g.retire(h)
 			if contracted(u) {
 				// u dies this round; the edge vanishes with it.
-				continue
+				return
 			}
-			if iw, ok := g.in[u][v]; ok {
-				delete(g.in[u], v)
-				g.accountIn(v, u, iw, 0)
-				note(u)
-			}
+			g.st[u].inDeg--
+			g.accountIn(v, u, w, 0)
+			note(u)
 			if u == r {
 				// Transferring (v, r) to r would create a self loop; R3
 				// excludes it.
-				continue
+				return
 			}
-			old, ok := g.out[r][u]
-			if !ok {
-				edgeDelta++
-				if g.out[r] == nil {
-					g.out[r] = make(map[NodeID]float64)
-				}
-			}
-			nw := clampLabel(old + w)
-			g.out[r][u] = nw
-			g.accountOut(r, old, nw)
+			g.mergeInto(r, u, w)
 			note(r)
-			oldIn := g.in[u][r]
-			if g.in[u] == nil {
-				g.in[u] = make(map[NodeID]float64)
-			}
-			nwIn := clampLabel(oldIn + w)
-			g.in[u][r] = nwIn
-			g.accountIn(r, u, oldIn, nwIn)
 			note(u)
-		}
+		})
 	}
-	nodes, cleared := 0, 0
-	for _, v := range victims {
-		if !g.Alive(v) {
-			continue
-		}
-		nodes++
-		cleared += len(g.out[v])
-		g.out[v] = nil
-		g.in[v] = nil
-		g.alive[v] = false
-		g.resetAggregates(v)
-	}
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
+	nodes := g.killSerial(victims)
 	return nodes, sc.touchedSet(t)
 }

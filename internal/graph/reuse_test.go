@@ -48,15 +48,55 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 	}
 }
 
+// TestCloneIntoSteadyStateZeroAlloc pins the per-query pattern of a site:
+// copy the partition into a pooled graph, reduce the copy (removal and
+// contraction rounds retire base edges and add overlay records), repeat.
+// Once the pooled graph's buffers have grown, the cycle allocates nothing.
 func TestCloneIntoSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	g := randomGraph(rng, 200, 600)
-	dst := g.CloneInto(New(0))
-	allocs := testing.AllocsPerRun(20, func() {
+	g := deepCopy(t, randomGraph(rng, 200, 600))
+	ref := deepCopy(t, g)
+	isVictim := make([]bool, g.Cap())
+	var victims []NodeID
+	for v := NodeID(0); int(v) < g.Cap(); v += 3 {
+		isVictim[v] = true
+		victims = append(victims, v)
+	}
+	// The contraction round is planned on the post-removal state, which is
+	// the same on every cycle.
+	probe := g.Clone()
+	probe.RemoveBatchMetered(nil, victims, isVictim, 1, nil)
+	rep := make([]NodeID, g.Cap())
+	var cvict []NodeID
+	for i := range rep {
+		rep[i] = None
+		v := NodeID(i)
+		if c := probe.DirectController(v); c != None && probe.DirectController(c) == None {
+			rep[v] = c
+			cvict = append(cvict, v)
+		}
+	}
+	if len(cvict) == 0 {
+		t.Fatal("no contraction planned — test is vacuous")
+	}
+	var sc BatchScratch
+	dst := New(0)
+	cycle := func() {
 		dst = g.CloneInto(dst)
-	})
+		dst.RemoveBatchMetered(nil, victims, isVictim, 1, &sc)
+		dst.ContractBatchMetered(nil, cvict, rep, 1, &sc)
+	}
+	cycle()
+	mustAggregates(t, dst)
+	if len(dst.ov) == 0 || len(dst.gone) == 0 {
+		t.Fatal("the reduction left the overlay empty — test is vacuous")
+	}
+	allocs := testing.AllocsPerRun(20, cycle)
 	if allocs != 0 {
-		t.Fatalf("steady-state CloneInto allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state CloneInto+reduce allocated %.1f times per cycle, want 0", allocs)
+	}
+	if !Equal(ref, g, 0) || g.NumEdges() != ref.NumEdges() {
+		t.Fatal("reducing the copies changed the source")
 	}
 }
 
@@ -165,4 +205,25 @@ func TestDecodeBinaryRejectsGarbage(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// TestDecodeIntoRegrownBuffersStartsBare decodes into a pooled graph whose
+// per-node buffers once held a longer, fully wired graph: ids the decode
+// adds back must come up dead and bare, even where the live-flag and state
+// buffers kept different capacities.
+func TestDecodeIntoRegrownBuffersStartsBare(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	long := randomGraph(rng, 300, 900)
+	dst := long.CloneInto(New(0))
+	dst = New(10).CloneInto(dst) // shrink: the tail keeps long's state
+	dst.alive = append([]bool(nil), dst.alive...)
+	var buf bytes.Buffer
+	if err := randomGraph(rng, 200, 300).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBinaryInto(dst, buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAggregates(t, got)
 }

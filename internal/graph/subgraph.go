@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // NodeSet is a set of node ids.
 type NodeSet map[NodeID]struct{}
 
@@ -32,22 +34,24 @@ func (s NodeSet) AddAll(t NodeSet) {
 // are live in g and every edge of g with both endpoints in keep. Node ids are
 // preserved; the result has the same id capacity as g.
 func (g *Graph) Induced(keep NodeSet) *Graph {
-	sub := newShell(len(g.alive))
+	var nodes []NodeID
 	for v := range keep {
 		if g.Alive(v) {
-			sub.alive[v] = true
-			sub.nAlive++
+			nodes = append(nodes, v)
 		}
 	}
-	for v := range keep {
-		if !g.Alive(v) {
-			continue
-		}
-		for u, w := range g.out[v] {
-			if sub.Alive(u) {
-				sub.setEdge(v, u, w)
+	slices.Sort(nodes)
+	var edges []Edge
+	for _, v := range nodes {
+		g.eachOut(v, func(_ int32, u NodeID, w float64) {
+			if keep.Has(u) {
+				edges = append(edges, Edge{v, u, w})
 			}
-		}
+		})
+	}
+	sub, err := Build(len(g.alive), nodes, edges)
+	if err != nil {
+		panic("graph: inducing a valid graph: " + err.Error())
 	}
 	return sub
 }
@@ -56,16 +60,16 @@ func (g *Graph) Induced(keep NodeSet) *Graph {
 // space if needed. Edges already present in g keep their label: merging
 // reduced partitions never double-counts an ownership relation, because
 // every original edge lives in exactly one partition and reduction only
-// moves labels between edges of the same partition.
+// moves labels between edges of the same partition. Merged edges land in
+// g's overlay.
 func (g *Graph) Merge(other *Graph) {
 	other.EachNode(func(v NodeID) { g.Revive(v) })
 	other.EachNode(func(v NodeID) {
-		for u, w := range other.out[v] {
-			if _, exists := g.out[v][u]; exists {
-				continue
+		other.eachOut(v, func(_ int32, u NodeID, w float64) {
+			if _, _, exists := g.find(v, u); !exists {
+				g.setEdge(v, u, w)
 			}
-			g.setEdge(v, u, w)
-		}
+		})
 	})
 }
 
@@ -79,11 +83,15 @@ func (g *Graph) CompactCopy() (*Graph, map[NodeID]NodeID) {
 		remap[v] = next
 		next++
 	})
-	c := New(int(next))
+	edges := make([]Edge, 0, g.nEdges)
 	g.EachNode(func(v NodeID) {
-		for u, w := range g.out[v] {
-			c.setEdge(remap[v], remap[u], w)
-		}
+		g.eachOut(v, func(_ int32, u NodeID, w float64) {
+			edges = append(edges, Edge{remap[v], remap[u], w})
+		})
 	})
+	c := New(int(next))
+	if err := c.load(len(edges), func(i int) Edge { return edges[i] }); err != nil {
+		panic("graph: renumbering a valid graph: " + err.Error())
+	}
 	return c, remap
 }

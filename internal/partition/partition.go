@@ -149,14 +149,14 @@ func (p *Partition) AdjustCrossIn(v graph.NodeID, delta int) (acted, changed boo
 }
 
 // Snapshot returns a consistent image of the partition that stays valid
-// while the live partition keeps mutating: the graph is a copy-on-write
-// snapshot (O(nodes) to take, see graph.SnapshotClone), the sets and
+// while the live partition keeps mutating: the graph is a clone (it shares
+// the immutable base adjacency, see graph.Graph.Clone), the sets and
 // counters are copied outright. Checkpoint builds serialize the image off
 // the update path.
 func (p *Partition) Snapshot() *Partition {
 	c := &Partition{
 		ID:       p.ID,
-		Local:    p.Local.SnapshotClone(),
+		Local:    p.Local.Clone(),
 		Members:  graph.NewNodeSet(),
 		Virtual:  graph.NewNodeSet(),
 		InNodes:  graph.NewNodeSet(),
@@ -226,29 +226,49 @@ func (pi *Partitioning) PartitionGraph() []CrossEdge {
 // exactly one partition: the one storing its source). It is the inverse of
 // Split and is used by tests and by a centralized fallback.
 func (pi *Partitioning) Merge() *graph.Graph {
-	g := graph.New(0)
+	var b graphParts
 	for _, p := range pi.Parts {
 		for v := range p.Members {
-			g.Revive(v)
+			b.node(v)
 		}
 	}
 	for _, p := range pi.Parts {
 		for v := range p.Members {
 			p.Local.EachOut(v, func(u graph.NodeID, w float64) {
-				g.Revive(u)
-				if err := g.AddEdge(v, u, w); err != nil {
-					// Each edge is stored exactly once; duplicates mean a
-					// corrupted partitioning.
-					panic(fmt.Sprintf("partition: merge conflict on (%d,%d): %v", v, u, err))
-				}
+				b.node(u)
+				b.edges = append(b.edges, graph.Edge{From: v, To: u, Weight: w})
 			})
 		}
+	}
+	g, err := b.build()
+	if err != nil {
+		// Each edge is stored exactly once; duplicates mean a corrupted
+		// partitioning.
+		panic(fmt.Sprintf("partition: merge conflict: %v", err))
 	}
 	return g
 }
 
+// graphParts gathers the nodes and edges of a graph whose id space is the
+// largest id it references, for one bulk graph.Build.
+type graphParts struct {
+	nodes []graph.NodeID
+	edges []graph.Edge
+	cap   int
+}
+
+func (b *graphParts) node(v graph.NodeID) {
+	b.nodes = append(b.nodes, v)
+	b.cap = max(b.cap, int(v)+1)
+}
+
+func (b *graphParts) build() (*graph.Graph, error) {
+	return graph.Build(b.cap, b.nodes, b.edges)
+}
+
 // Split partitions g according to assign, which maps every live node to a
-// partition in [0, k). Dead ids may carry any value.
+// partition in [0, k). Dead ids may carry any value. Each partition's local
+// graph is built in bulk.
 func Split(g *graph.Graph, assign []int, k int) (*Partitioning, error) {
 	if len(assign) != g.Cap() {
 		return nil, fmt.Errorf("partition: assign has %d entries for id space %d", len(assign), g.Cap())
@@ -260,10 +280,10 @@ func Split(g *graph.Graph, assign []int, k int) (*Partitioning, error) {
 	for i := range pi.Assign {
 		pi.Assign[i] = -1
 	}
+	locals := make([]graphParts, k)
 	for i := 0; i < k; i++ {
 		pi.Parts = append(pi.Parts, &Partition{
 			ID:      i,
-			Local:   graph.New(0),
 			Members: graph.NewNodeSet(),
 			Virtual: graph.NewNodeSet(),
 			InNodes: graph.NewNodeSet(),
@@ -279,37 +299,33 @@ func Split(g *graph.Graph, assign []int, k int) (*Partitioning, error) {
 			return
 		}
 		pi.Assign[v] = a
-		p := pi.Parts[a]
-		p.Members.Add(v)
-		p.Local.Revive(v)
+		pi.Parts[a].Members.Add(v)
+		locals[a].node(v)
 	})
 	if err != nil {
 		return nil, err
 	}
 	g.EachNode(func(v graph.NodeID) {
 		src := pi.Parts[pi.Assign[v]]
+		local := &locals[src.ID]
 		g.EachOut(v, func(u graph.NodeID, w float64) {
+			local.edges = append(local.edges, graph.Edge{From: v, To: u, Weight: w})
 			au := pi.Assign[u]
 			if au == src.ID {
-				src.Local.Revive(u)
-				if e := src.Local.AddEdge(v, u, w); e != nil && err == nil {
-					err = e
-				}
 				return
 			}
 			// Cross edge: stored at the source partition with u virtual,
 			// and u becomes an in-node of its home partition.
-			src.Local.Revive(u)
+			local.node(u)
 			src.Virtual.Add(u)
 			src.CrossOut++
-			if e := src.Local.AddEdge(v, u, w); e != nil && err == nil {
-				err = e
-			}
 			pi.Parts[au].AddCrossIn(u)
 		})
 	})
-	if err != nil {
-		return nil, err
+	for i, p := range pi.Parts {
+		if p.Local, err = locals[i].build(); err != nil {
+			return nil, err
+		}
 	}
 	return pi, nil
 }

@@ -212,8 +212,8 @@ func (s *Store) AppendedSeq() uint64 { return s.wal.appended.Load() }
 // Start begins background checkpointing. source must return a consistent
 // (sequence number, partition image) pair — the image reflecting exactly
 // the records up to that sequence number; the site produces it under its
-// update lock from a copy-on-write snapshot, so capturing one is O(nodes),
-// not O(edges).
+// update lock as a clone that shares the immutable base adjacency, so
+// capturing one is O(nodes), not O(edges).
 func (s *Store) Start(source func() (uint64, *partition.Partition)) {
 	s.source = source
 	every, bytes := s.opts.CheckpointEvery, s.opts.CheckpointBytes
